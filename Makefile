@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; CI runs the same three gates.
 
-.PHONY: all build lint analyze test check storm soak obs scale storm-scale spread cluster bench clean
+.PHONY: all build lint analyze test check storm soak obs scale storm-scale spread cluster bench perf clean
 
 all: lint analyze build test
 
@@ -113,6 +113,18 @@ cluster: build
 
 bench:
 	dune exec bench/main.exe
+
+# The repository benchmark (BENCHMARK.json), one 15 s run of each
+# workload: perfbench/run.py builds perfbench/bench.exe, runs the
+# workload in a fresh process and prints its report and JSON result
+# line.  Takes a few minutes.  No CI step runs it: a shared 2-vCPU runner
+# is too noisy to gate on.
+PERF_WORKLOADS = membership-1m chaos-audit-10k spread-1m cluster-sat seq-audit-1k
+
+perf:
+	for w in $(PERF_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 15 || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -1402,10 +1402,13 @@ module Sharded = struct
       t.active_crashes <- List.rev !crashes;
       t.active_parts <- List.rev !parts
 
-  let is_crashed t id =
-    match t.active_crashes with
+  (* Both window queries run per send; they recurse at top level rather
+     than through [List.exists], whose predicate closure would allocate. *)
+  let rec in_ranges id = function
     | [] -> false
-    | ranges -> List.exists (fun (first, last) -> id >= first && id <= last) ranges
+    | (first, last) :: rest -> (id >= first && id <= last) || in_ranges id rest
+
+  let is_crashed t id = in_ranges id t.active_crashes
 
   (* Same block rule as Sf_faults.Injector: contiguous blocks of the
      initial id space; joiner ids beyond it wrap by [id mod n]. *)
@@ -1413,11 +1416,12 @@ module Sharded = struct
     let id = id mod t.n in
     min (parts - 1) (id * parts / t.n)
 
-  let partitioned t ~src ~dst =
-    match t.active_parts with
+  let rec split_by t ~src ~dst = function
     | [] -> false
-    | splits ->
-      List.exists (fun parts -> block t ~parts src <> block t ~parts dst) splits
+    | parts :: rest ->
+      block t ~parts src <> block t ~parts dst || split_by t ~src ~dst rest
+
+  let partitioned t ~src ~dst = split_by t ~src ~dst t.active_parts
 
   (* --- Per-shard free list of node slots (ring buffer) --- *)
 
@@ -1521,8 +1525,11 @@ module Sharded = struct
         if t.alive.(u) = 1 && not (is_crashed t u) then begin
           sh.sh_actions <- sh.sh_actions + 1;
           (* Slot selection ranges over the full allocation even when a
-             retune shrank cfg_s — same semantics as Protocol.initiate. *)
-          let i, j = Sf_prng.Rng.distinct_pair sh.rng view_size in
+             retune shrank cfg_s — same semantics as Protocol.initiate.
+             [Rng.distinct_pair] spelled as its two draws, so no pair is
+             allocated. *)
+          let i = Sf_prng.Rng.int sh.rng view_size in
+          let j = Sf_prng.Rng.int_except sh.rng view_size i in
           let target = Flat.id_at store u i in
           let forwarded = Flat.id_at store u j in
           if target < 0 || forwarded < 0 then

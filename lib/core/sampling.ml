@@ -8,14 +8,15 @@
 (* One random peer id from the node's view, excluding (by default) the node
    itself: self-samples are useless to applications.
 
-   Allocation-free two-pass scan over the view slots: count the candidates,
+   List-free two-pass scan over the view slots: count the candidates,
    draw one index, walk to it.  This replaces a list-then-array build per
-   draw — an allocation storm on the facade the traffic harness (ROADMAP
-   item 5) hammers with millions of requests.  The scan walks slots from
-   the highest down and the single [Rng.int] draw has the same bound as
-   the old [Rng.choose] over the fold-reversed candidate list, so the RNG
-   stream and the returned ids are bit-for-bit those of the historical
-   implementation (asserted by an equal-seed test). *)
+   draw on a facade that applications call millions of times; what a
+   draw still allocates is the node lookup's option and the result's.
+   The scan walks slots from the highest down and the single [Rng.int]
+   draw has the same bound as the old [Rng.choose] over the fold-reversed
+   candidate list, so the RNG stream and the returned ids are bit-for-bit
+   those of the historical implementation (asserted by an equal-seed
+   test). *)
 let sample ?(allow_self = false) runner rng ~node_id =
   match Runner.find_node runner node_id with
   | None -> None

@@ -7,7 +7,8 @@ val sample :
     unknown node or an effectively empty view). Self-ids are excluded unless
     [allow_self].
 
-    Allocation-free: a two-pass indexed scan over the view slots.  A
+    A two-pass indexed scan over the view slots that builds no list: a
+    draw allocates only the node lookup's option and its own result.  A
     successful draw consumes exactly one [Rng.int] whose bound is the
     candidate count; a [None] result consumes no randomness. *)
 

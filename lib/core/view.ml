@@ -82,20 +82,19 @@ let clear t i =
 
 let free_slots t = Array.length t.ids - t.filled
 
+(* Index of the empty cell ([ids.(i) < 0]) that is the [remaining]-th
+   (0-based) at or after [i]; the caller guarantees it exists.  Top-level,
+   so a scan builds no closure. *)
+let rec nth_empty ids i remaining =
+  if ids.(i) >= 0 then nth_empty ids (i + 1) remaining
+  else if remaining = 0 then i
+  else nth_empty ids (i + 1) (remaining - 1)
+
 (* Uniformly random empty slot; the receive step of S&F places ids in
    uniformly chosen empty entries. *)
 let random_empty_slot t rng =
   let free = free_slots t in
-  if free = 0 then None
-  else begin
-    let target = Sf_prng.Rng.int rng free in
-    let rec scan i remaining =
-      if t.ids.(i) < 0 then
-        if remaining = 0 then i else scan (i + 1) (remaining - 1)
-      else scan (i + 1) remaining
-    in
-    Some (scan 0 target)
-  end
+  if free = 0 then None else Some (nth_empty t.ids 0 (Sf_prng.Rng.int rng free))
 
 let iter f t =
   for i = 0 to Array.length t.ids - 1 do
@@ -188,19 +187,13 @@ module Flat = struct
     end
 
   (* Uniformly random empty slot of node [u]; -1 when the view is full.
-     Allocation-free: same selection law as {!random_empty_slot}. *)
+     Same selection law as {!random_empty_slot}, and allocates nothing. *)
   let random_empty_slot t u rng =
     let free = t.view_size - t.degrees.(u) in
     if free = 0 then -1
     else begin
       let base = u * t.view_size in
-      let target = Sf_prng.Rng.int rng free in
-      let rec scan slot remaining =
-        if t.f_ids.(base + slot) < 0 then
-          if remaining = 0 then slot else scan (slot + 1) (remaining - 1)
-        else scan (slot + 1) remaining
-      in
-      scan 0 target
+      nth_empty t.f_ids base (Sf_prng.Rng.int rng free) - base
     end
 
   (* Recount of the occupied slots — the audit cross-check for the cached

@@ -45,7 +45,9 @@ val id_at : t -> int -> int
     Allocation-free — the sampling facade's hot path. *)
 
 val random_empty_slot : t -> Sf_prng.Rng.t -> int option
-(** Uniformly random empty slot, [None] when full. *)
+(** Uniformly random empty slot, [None] when full: one {!Sf_prng.Rng.int}
+    draw over the free-slot count, then a scan to that empty slot.  The
+    [Some] result is its only allocation. *)
 
 val iter : (int -> entry -> unit) -> t -> unit
 (** Iterate non-empty slots as [f slot entry]. *)
@@ -98,8 +100,9 @@ module Flat : sig
   val clear : t -> int -> int -> unit
 
   val random_empty_slot : t -> int -> Sf_prng.Rng.t -> int
-  (** Uniformly random empty slot of node [u], [-1] when full.
-      Allocation-free; same selection law as {!View.random_empty_slot}. *)
+  (** Uniformly random empty slot of node [u], [-1] when full.  Same
+      selection law and RNG consumption as {!View.random_empty_slot};
+      allocates nothing. *)
 
   val recount_degree : t -> int -> int
   (** Occupied-slot recount for node [u] — the audit cross-check for the

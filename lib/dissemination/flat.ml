@@ -71,14 +71,10 @@ type sshard = {
   sp_out : arena array;  (* rumor rows, one per destination shard *)
   sp_req : arena array;  (* pull-request rows (push-pull) *)
   sp_resp : arena array;  (* pull-response rows (push-pull) *)
-  (* Direct-strategy rings, [owned * capacity] cells (empty for the
-     other strategies); see {!Rings}. *)
-  sp_leads : int array;
-  sp_lead_head : int array;
-  sp_lead_len : int array;
-  sp_recent : int array;
-  sp_recent_head : int array;
-  sp_recent_len : int array;
+  (* Direct-strategy rings, one per owned slot (no rings for the other
+     strategies); see {!Rings}. *)
+  sp_leads : Rings.t;
+  sp_recent : Rings.t;
   mutable sp_infected : int;  (* infected among live owned slots *)
   mutable sp_live : int;  (* censused in generate *)
   mutable sp_frozen : int;  (* live but inside a crash window *)
@@ -150,6 +146,7 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   let sshards =
     Array.init shards (fun i ->
         let olen = Array.length owned.(i) in
+        let rings = if direct then olen else 0 in
         {
           sp_owned = owned.(i);
           sp_rng = Rng.split root;
@@ -158,16 +155,8 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
           sp_out = Array.init shards (fun _ -> arena_create ());
           sp_req = Array.init shards (fun _ -> arena_create ());
           sp_resp = Array.init shards (fun _ -> arena_create ());
-          sp_leads =
-            (if direct then Array.make (olen * Strategy.lead_capacity) (-1)
-             else [||]);
-          sp_lead_head = (if direct then Array.make olen 0 else [||]);
-          sp_lead_len = (if direct then Array.make olen 0 else [||]);
-          sp_recent =
-            (if direct then Array.make (olen * Strategy.recent_capacity) (-1)
-             else [||]);
-          sp_recent_head = (if direct then Array.make olen 0 else [||]);
-          sp_recent_len = (if direct then Array.make olen 0 else [||]);
+          sp_leads = Rings.create ~rings ~cap:Strategy.lead_capacity;
+          sp_recent = Rings.create ~rings ~cap:Strategy.recent_capacity;
           sp_infected = 0;
           sp_live = 0;
           sp_frozen = 0;
@@ -202,9 +191,9 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   }
 
 (* One uniformly random non-self id from [u]'s current view, or [-1]:
-   the allocation-free two-pass scan of [Sampling.sample], applied to the
-   packed store.  A successful draw consumes exactly one [Rng.int]; a
-   [-1] result consumes none. *)
+   the two-pass scan of [Sampling.sample], applied to the packed store,
+   where it allocates nothing.  A successful draw consumes exactly one
+   [Rng.int]; a [-1] result consumes none. *)
 let sample_view t rng u =
   let store = Sharded.store t.world in
   let candidates = ref 0 in
@@ -256,63 +245,19 @@ let judge t sh ~src ~dst =
 
 let dst_shard t dst = Sharded.shard_of t.world dst
 
-(* Direct-ring accessors over the per-shard flat arrays. *)
-let recent_mem sh p v =
-  Rings.mem sh.sp_recent
-    ~off:(p * Strategy.recent_capacity)
-    ~cap:Strategy.recent_capacity ~head:sh.sp_recent_head.(p)
-    ~len:sh.sp_recent_len.(p) v
-
-let recent_add sh p v =
-  if not (recent_mem sh p v) then begin
-    let head, len =
-      Rings.add sh.sp_recent
-        ~off:(p * Strategy.recent_capacity)
-        ~cap:Strategy.recent_capacity ~head:sh.sp_recent_head.(p)
-        ~len:sh.sp_recent_len.(p) v
-    in
-    sh.sp_recent_head.(p) <- head;
-    sh.sp_recent_len.(p) <- len
-  end
-
-let lead_mem sh p v =
-  Rings.mem sh.sp_leads
-    ~off:(p * Strategy.lead_capacity)
-    ~cap:Strategy.lead_capacity ~head:sh.sp_lead_head.(p)
-    ~len:sh.sp_lead_len.(p) v
+(* Direct-ring accessors: ring [p] of the shard's banks. *)
+let recent_mem sh p v = Rings.mem sh.sp_recent p v
+let recent_add sh p v = if not (recent_mem sh p v) then Rings.add sh.sp_recent p v
+let lead_mem sh p v = Rings.mem sh.sp_leads p v
 
 let lead_push sh p v =
-  if not (lead_mem sh p v) && not (recent_mem sh p v) then begin
-    let head, len =
-      Rings.add sh.sp_leads
-        ~off:(p * Strategy.lead_capacity)
-        ~cap:Strategy.lead_capacity ~head:sh.sp_lead_head.(p)
-        ~len:sh.sp_lead_len.(p) v
-    in
-    sh.sp_lead_head.(p) <- head;
-    sh.sp_lead_len.(p) <- len
-  end
+  if not (lead_mem sh p v) && not (recent_mem sh p v) then Rings.add sh.sp_leads p v
 
-let lead_pop sh p =
-  let v, head, len =
-    Rings.pop sh.sp_leads
-      ~off:(p * Strategy.lead_capacity)
-      ~cap:Strategy.lead_capacity ~head:sh.sp_lead_head.(p)
-      ~len:sh.sp_lead_len.(p)
-  in
-  sh.sp_lead_head.(p) <- head;
-  sh.sp_lead_len.(p) <- len;
-  v
+let lead_pop sh p = Rings.pop sh.sp_leads p
 
 let lead_reset sh p =
-  let off = p * Strategy.lead_capacity in
-  Array.fill sh.sp_leads off Strategy.lead_capacity (-1);
-  sh.sp_lead_head.(p) <- 0;
-  sh.sp_lead_len.(p) <- 0;
-  let off = p * Strategy.recent_capacity in
-  Array.fill sh.sp_recent off Strategy.recent_capacity (-1);
-  sh.sp_recent_head.(p) <- 0;
-  sh.sp_recent_len.(p) <- 0
+  Rings.reset sh.sp_leads p;
+  Rings.reset sh.sp_recent p
 
 let emit_push t sh u =
   for _ = 1 to t.fanout do
@@ -577,12 +522,8 @@ let equal a b =
           && x.sp_requests = y.sp_requests
           && x.sp_duplicates = y.sp_duplicates
           && x.sp_lost = y.sp_lost && x.sp_to_dead = y.sp_to_dead
-          && x.sp_leads = y.sp_leads
-          && x.sp_lead_head = y.sp_lead_head
-          && x.sp_lead_len = y.sp_lead_len
-          && x.sp_recent = y.sp_recent
-          && x.sp_recent_head = y.sp_recent_head
-          && x.sp_recent_len = y.sp_recent_len
+          && Rings.equal x.sp_leads y.sp_leads
+          && Rings.equal x.sp_recent y.sp_recent
           && (match (x.sp_loss, y.sp_loss) with
              | None, None -> true
              | Some lx, Some ly -> Loss.in_burst lx = Loss.in_burst ly

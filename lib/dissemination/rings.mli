@@ -1,16 +1,28 @@
 (** Fixed-capacity id rings backing the {!Strategy.Direct} per-node
-    lead/recent state, offset-addressed so both engines (per-node records
-    sequentially, per-shard flat arrays at scale) share one layout and one
-    set of operations.  Cells hold ids ([>= 0]) or [-1] when empty. *)
+    lead/recent state.  A bank holds [rings] rings of one capacity in flat
+    arrays, so both engines (a bank per node sequentially, a bank per
+    shard at scale) share one layout and one set of operations, and no
+    operation allocates.  Cells hold ids ([>= 0]) or [-1] when empty. *)
 
-val mem : int array -> off:int -> cap:int -> head:int -> len:int -> int -> bool
-(** Linear membership scan over the [len] occupied cells of the ring
-    stored at [arr.(off) .. arr.(off + cap - 1)]. *)
+type t
+(** A bank of rings, updated in place. *)
 
-val add : int array -> off:int -> cap:int -> head:int -> len:int -> int -> int * int
-(** Append (overwriting the oldest cell when full); returns the new
-    [(head, len)].  Does not deduplicate — callers check {!mem} first. *)
+val create : rings:int -> cap:int -> t
+(** [rings] empty rings of capacity [cap]. *)
 
-val pop : int array -> off:int -> cap:int -> head:int -> len:int -> int * int * int
-(** Pop the oldest element; returns [(value, head, len)] with [value = -1]
-    when the ring is empty. *)
+val mem : t -> int -> int -> bool
+(** [mem b r v]: linear membership scan over ring [r]'s occupied cells. *)
+
+val add : t -> int -> int -> unit
+(** [add b r v] appends [v] to ring [r], overwriting the oldest cell when
+    full.  Does not deduplicate — callers check {!mem} first. *)
+
+val pop : t -> int -> int
+(** [pop b r] removes and returns ring [r]'s oldest element, [-1] when the
+    ring is empty. *)
+
+val reset : t -> int -> unit
+(** [reset b r] empties ring [r]. *)
+
+val equal : t -> t -> bool
+(** Same capacity, cells and cursors. *)

@@ -33,62 +33,24 @@ type counters = {
   mutable to_dead : int;
 }
 
-(* Direct-strategy per-node learning state (see {!Rings}). *)
-type rings = {
-  leads : int array;
-  mutable lead_head : int;
-  mutable lead_len : int;
-  recent : int array;
-  mutable recent_head : int;
-  mutable recent_len : int;
-}
+(* Direct-strategy per-node learning state: two one-ring banks (see
+   {!Rings}). *)
+type rings = { leads : Rings.t; recent : Rings.t }
 
 let make_rings () =
   {
-    leads = Array.make Strategy.lead_capacity (-1);
-    lead_head = 0;
-    lead_len = 0;
-    recent = Array.make Strategy.recent_capacity (-1);
-    recent_head = 0;
-    recent_len = 0;
+    leads = Rings.create ~rings:1 ~cap:Strategy.lead_capacity;
+    recent = Rings.create ~rings:1 ~cap:Strategy.recent_capacity;
   }
 
-let recent_mem st v =
-  Rings.mem st.recent ~off:0 ~cap:Strategy.recent_capacity ~head:st.recent_head
-    ~len:st.recent_len v
-
-let recent_add st v =
-  if not (recent_mem st v) then begin
-    let head, len =
-      Rings.add st.recent ~off:0 ~cap:Strategy.recent_capacity
-        ~head:st.recent_head ~len:st.recent_len v
-    in
-    st.recent_head <- head;
-    st.recent_len <- len
-  end
-
-let lead_mem st v =
-  Rings.mem st.leads ~off:0 ~cap:Strategy.lead_capacity ~head:st.lead_head
-    ~len:st.lead_len v
+let recent_mem st v = Rings.mem st.recent 0 v
+let recent_add st v = if not (recent_mem st v) then Rings.add st.recent 0 v
+let lead_mem st v = Rings.mem st.leads 0 v
 
 let lead_push st v =
-  if not (lead_mem st v) && not (recent_mem st v) then begin
-    let head, len =
-      Rings.add st.leads ~off:0 ~cap:Strategy.lead_capacity ~head:st.lead_head
-        ~len:st.lead_len v
-    in
-    st.lead_head <- head;
-    st.lead_len <- len
-  end
+  if not (lead_mem st v) && not (recent_mem st v) then Rings.add st.leads 0 v
 
-let lead_pop st =
-  let v, head, len =
-    Rings.pop st.leads ~off:0 ~cap:Strategy.lead_capacity ~head:st.lead_head
-      ~len:st.lead_len
-  in
-  st.lead_head <- head;
-  st.lead_len <- len;
-  v
+let lead_pop st = Rings.pop st.leads 0
 
 let run ?(coverage_target = 0.99) ?(max_rounds = 200) ?loss_rate ?loss_model
     ?metrics ~strategy ~fanout ~source runner rng =

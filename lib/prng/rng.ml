@@ -6,78 +6,91 @@
    which lets concurrent components (nodes, network, churn driver) draw
    without perturbing each other's sequences. *)
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four state words live unboxed in one 32-byte buffer (s0..s3 at byte
+   offsets 0, 8, 16, 24) rather than in [int64] record fields, which OCaml
+   boxes: every write to a boxed field allocates.  [step] is inlined into
+   each draw below, so its [int64] temporaries stay in registers.  No draw
+   allocates, except that [next_int64] and [float] box their result when
+   the caller does not inline them. *)
+type t = Bytes.t
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let of_seed64 seed =
-  match Splitmix64.expand seed 4 with
-  | [| s0; s1; s2; s3 |] -> { s0; s1; s2; s3 }
-  | _ -> assert false
+  let t = Bytes.create 32 in
+  Array.iteri (fun k w -> Bytes.set_int64_ne t (8 * k) w) (Splitmix64.expand seed 4);
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] step t =
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  Bytes.set_int64_ne t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_ne t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_ne t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
+
+let next_int64 t = step t
 
 (* Derive an independent stream: reseed a SplitMix64 from the parent's next
    output.  The parent advances, so successive splits differ. *)
 let split t = of_seed64 (next_int64 t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 (* Uniform float in [0,1): top 53 bits. *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+let[@inline] float t = Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1p-53
 
-(* Uniform int in [0, bound) without modulo bias (rejection on the top
-   range). [bound] must be positive and fit in 62 bits. *)
+(* Rejection loop of [int]: the low bits of each output under [mask] until
+   one falls below [bound].  [mask < 2^62], so [Int64.to_int] keeps them. *)
+let rec draw_masked t bound mask =
+  let v = Int64.to_int (step t) land mask in
+  if v < bound then v else draw_masked t bound mask
+
+(* Uniform int in [0, bound) without modulo bias: mask each output down to
+   the smallest all-ones [mask >= bound - 1] and reject the values at or
+   above [bound]. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let bound64 = Int64.of_int bound in
-  let mask =
-    (* Smallest all-ones mask covering bound-1. *)
-    let rec go m = if Int64.unsigned_compare m (Int64.sub bound64 1L) >= 0 then m else go (Int64.logor (Int64.shift_left m 1) 1L) in
-    go 1L
-  in
-  let rec draw () =
-    let v = Int64.logand (next_int64 t) mask in
-    if Int64.unsigned_compare v bound64 < 0 then Int64.to_int v else draw ()
-  in
-  draw ()
+  let mask = ref 1 in
+  while !mask < bound - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  draw_masked t bound !mask
 
-(* Uniform int in [lo, hi] inclusive. *)
+(* Uniform int in [lo, hi] inclusive.  The span [hi - lo + 1] must be a
+   positive int; when it overflows it wraps to a non-positive value. *)
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
-  lo + int t (hi - lo + 1)
+  let span = hi - lo + 1 in
+  if span <= 0 then invalid_arg "Rng.int_range: range holds more than max_int values";
+  lo + int t span
 
-let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0
+let bool t = Int64.to_int (step t) land 1 <> 0
 
 (* Bernoulli trial with success probability [p]. *)
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t < p
 
+(* Uniform index in [0, n) other than [i]: a draw over the [n - 1] others,
+   shifted past [i]. *)
+let int_except t n i =
+  if n < 2 then invalid_arg "Rng.int_except: need n >= 2";
+  let j = int t (n - 1) in
+  if j >= i then j + 1 else j
+
 (* Two distinct indices drawn uniformly from [0, n). Requires n >= 2. *)
 let distinct_pair t n =
   if n < 2 then invalid_arg "Rng.distinct_pair: need n >= 2";
   let i = int t n in
-  let j0 = int t (n - 1) in
-  let j = if j0 >= i then j0 + 1 else j0 in
-  (i, j)
+  (i, int_except t n i)
 
 (* In-place Fisher-Yates shuffle. *)
 let shuffle t a =

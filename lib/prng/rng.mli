@@ -7,7 +7,9 @@
     components. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  {!int}, {!int_range}, {!int_except},
+    {!bool} and {!bernoulli} allocate nothing; {!next_int64} and {!float}
+    allocate only their boxed result. *)
 
 val create : int -> t
 (** [create seed] builds a generator from an integer seed. *)
@@ -28,11 +30,15 @@ val float : t -> float
 (** Uniform float in [0,1). *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [0, bound); unbiased. Raises
-    [Invalid_argument] for non-positive bounds. *)
+(** [int t bound] is uniform in [0, bound); unbiased.  Every positive
+    int, up to [max_int], is a valid bound.  Raises [Invalid_argument] for
+    non-positive bounds. *)
 
 val int_range : t -> int -> int -> int
-(** [int_range t lo hi] is uniform in [lo, hi] inclusive. *)
+(** [int_range t lo hi] is uniform in [lo, hi] inclusive.  The range may
+    hold at most [max_int] values ([hi - lo < max_int]); raises
+    [Invalid_argument] when [hi < lo] or when the range is wider, as in
+    [int_range t 0 max_int] or [int_range t min_int max_int]. *)
 
 val bool : t -> bool
 (** Fair coin. *)
@@ -40,9 +46,16 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] succeeds with probability [p]. *)
 
+val int_except : t -> int -> int -> int
+(** [int_except t n i] is uniform over the indices of [0, n) other than
+    [i] (one {!int} draw over [n - 1]).  Raises [Invalid_argument] when
+    [n < 2]. *)
+
 val distinct_pair : t -> int -> int * int
 (** [distinct_pair t n] draws an ordered pair of distinct indices uniformly
-    from [0, n); this is exactly the entry selection of S&F-InitiateAction. *)
+    from [0, n); this is exactly the entry selection of S&F-InitiateAction.
+    It is [let i = int t n in (i, int_except t n i)]; hot loops that must
+    not allocate the pair make those two calls themselves. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -27,5 +27,6 @@ let () =
       ("obs", Test_obs.suite);
       ("resilience", Test_resil.suite);
       ("scale", Test_scale.suite);
+      ("alloc", Test_alloc.suite);
       ("spread", Test_spread.suite);
     ]

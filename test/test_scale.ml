@@ -1,7 +1,8 @@
 (* Tests for the million-node scale path: the flat view representation,
    the Par fork-join shim, the sharded bulk-synchronous runner and its
    domain-count determinism contract, plus the hot-path fixes that rode
-   along (incremental sorted live array, allocation-free sampling). *)
+   along (incremental sorted live array, list-free sampling).  The
+   allocation gates for the sharded hot loop are in test_alloc.ml. *)
 
 module Runner = Sf_core.Runner
 module Sharded = Sf_core.Runner.Sharded
@@ -320,7 +321,7 @@ let test_live_nodes_incremental () =
   Runner.run_rounds r 5;
   check_snapshot ()
 
-(* --- Sampling: the allocation-free scan preserves the RNG stream --- *)
+(* --- Sampling: the list-free scan preserves the RNG stream --- *)
 
 (* The historical implementation: fold the candidates into a list (highest
    slot first), then one [Rng.choose] over the materialized array. *)
