@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; CI runs the same three gates.
 
-.PHONY: all build lint analyze test check storm soak obs scale storm-scale spread cluster bench perf clean
+.PHONY: all build lint analyze test check storm soak obs scale storm-scale spread cluster bench perf loc clean
 
 all: lint analyze build test
 
@@ -124,6 +124,16 @@ PERF_WORKLOADS = membership-1m chaos-audit-10k spread-1m cluster-sat seq-audit-1
 perf:
 	for w in $(PERF_WORKLOADS); do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 15 || exit 1; \
+	done
+
+# Net lines of OCaml (.ml + .mli) per source directory, the figures a
+# change that removes code reports before and after.
+LOC_DIRS = lib bin bench tool test
+
+loc:
+	@for d in $(LOC_DIRS); do \
+	  printf '%-6s %6d\n' $$d \
+	    $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l); \
 	done
 
 clean:

@@ -35,16 +35,11 @@ type t = {
   rng : Sf_prng.Rng.t;
   nodes : node array;
   dead : bool array;  (* killed nodes drop all traffic *)
-  mutable next_serial : int;
+  serials : View.minter;
   mutable actions : int;
   mutable messages_sent : int;
   mutable messages_lost : int;
 }
-
-let fresh_serial t =
-  let s = t.next_serial in
-  t.next_serial <- s + 1;
-  s
 
 let create ~seed ~n ~view_size ~loss_rate ~kind ~topology =
   let rng = Sf_prng.Rng.create seed in
@@ -55,7 +50,7 @@ let create ~seed ~n ~view_size ~loss_rate ~kind ~topology =
       rng;
       nodes = Array.init n (fun id -> { id; view = View.create view_size });
       dead = Array.make n false;
-      next_serial = 0;
+      serials = { View.next = 0; stride = 1 };
       actions = 0;
       messages_sent = 0;
       messages_lost = 0;
@@ -68,7 +63,7 @@ let create ~seed ~n ~view_size ~loss_rate ~kind ~topology =
           match View.random_empty_slot node.view t.rng with
           | None -> invalid_arg "Baselines.create: topology exceeds view size"
           | Some slot ->
-            View.set node.view slot { View.id = v; serial = fresh_serial t; anchor = None; born = 0 })
+            View.set node.view slot { View.id = v; serial = View.mint t.serials; anchor = None; born = 0 })
         (topology node.id))
     t.nodes;
   t
@@ -135,12 +130,12 @@ let random_neighbor t node =
   else Some (Sf_prng.Rng.choose t.rng entries)
 
 let own_instance t node =
-  { View.id = node.id; serial = fresh_serial t; anchor = None; born = t.actions }
+  { View.id = node.id; serial = View.mint t.serials; anchor = None; born = t.actions }
 
 (* Mark a transferred copy as anchored at the sender, who retains the
    original — the dependence labelling shared with S&F's duplication. *)
 let anchored_copy t sender entry =
-  { entry with View.serial = fresh_serial t; anchor = Some sender; born = t.actions }
+  { entry with View.serial = View.mint t.serials; anchor = Some sender; born = t.actions }
 
 (* The oldest entry in the view (smallest birth stamp) — Cyclon's target
    rule and failure detector. *)
@@ -262,7 +257,7 @@ let revive t id ~bootstrap =
           match View.random_empty_slot node.view t.rng with
           | Some slot ->
             View.set node.view slot
-              { e with View.serial = fresh_serial t; born = t.actions }
+              { e with View.serial = View.mint t.serials; born = t.actions }
           | None -> ())
       (View.entries donor.view)
 

@@ -8,10 +8,15 @@
      to v, then clear both slots unless d(u) has reached the lower threshold
      [dL], in which case the entries are *duplicated* (kept).
    - [receive] at v: place both received ids into uniformly chosen empty
-     slots, unless the view is full, in which case both are *deleted*.
+     slots, unless the live s leaves no room for two, in which case both
+     are *deleted*.
 
    The sender never learns whether its message arrived: loss sits between
-   the two steps, exactly as in the paper's non-atomic action model. *)
+   the two steps, exactly as in the paper's non-atomic action model.
+
+   The rule itself is [View.Flat.initiate]/[View.Flat.receive], shared
+   with the sharded engine; this module adds the per-node counters and
+   the seen-cache. *)
 
 type config = {
   view_size : int;        (* s: number of view slots, even, >= 6 *)
@@ -81,71 +86,59 @@ type initiate_result =
   | Self_loop                      (* an empty slot was selected; no effect *)
   | Send of { destination : int; message : message; duplicated : bool }
 
-(* The initiate step.  [fresh_serial] mints instance numbers; [clock] stamps
-   creation times. *)
-let initiate config rng ~fresh_serial ~clock node =
+let entry ~id ~serial ~anchor ~born =
+  { View.id; serial; anchor = (if anchor < 0 then None else Some anchor); born }
+
+let anchor_int = function None -> -1 | Some a -> a
+
+(* The initiate step: [View.Flat.initiate] on the node's one-node store,
+   plus the node's counters.  [serials] mints instance numbers; [clock]
+   stamps creation times. *)
+let initiate config rng ~serials ~clock node =
   node.initiated_actions <- node.initiated_actions + 1;
-  (* Slot selection ranges over the *allocated* view, not the configured
-     view size: the two coincide at creation, but adaptive retuning
-     (lib/resilience) can lower a node's effective s below its allocated
-     capacity, and entries parked in high slots must stay reachable. *)
-  let i, j = Sf_prng.Rng.distinct_pair rng (View.size node.view) in
-  match (View.get node.view i, View.get node.view j) with
-  | None, _ | _, None ->
+  let p = View.Flat.packet () in
+  if
+    View.Flat.initiate node.view 0 ~self:node.node_id rng
+      ~dl:config.lower_threshold ~serials ~born:clock p
+  then begin
+    if p.dup then node.duplications <- node.duplications + 1;
+    node.messages_sent <- node.messages_sent + 1;
+    let reinforcement =
+      entry ~id:p.src ~serial:p.r_serial ~anchor:p.r_anchor ~born:p.r_born
+    in
+    let mixing =
+      entry ~id:p.m_id ~serial:p.m_serial ~anchor:p.m_anchor ~born:p.m_born
+    in
+    Send { destination = p.dst; message = { reinforcement; mixing }; duplicated = p.dup }
+  end
+  else begin
     node.self_loop_actions <- node.self_loop_actions + 1;
     Self_loop
-  | Some target_entry, Some forwarded_entry ->
-    let duplicated = degree node <= config.lower_threshold in
-    if not duplicated then begin
-      View.clear node.view i;
-      View.clear node.view j
-    end
-    else node.duplications <- node.duplications + 1;
-    (* Reinforcement instance: always a brand-new, independent instance of
-       the sender's own id. *)
-    let reinforcement =
-      { View.id = node.node_id; serial = fresh_serial (); anchor = None; born = clock }
-    in
-    (* Mixing instance: moves (same serial) when the slots were cleared;
-       when duplicated, the receiver gets a fresh copy anchored at the
-       sender, whose own copy stays behind — this is exactly the spatial
-       dependence the paper's edge labelling charges to duplication. *)
-    let mixing =
-      if duplicated then
-        {
-          View.id = forwarded_entry.View.id;
-          serial = fresh_serial ();
-          anchor = Some node.node_id;
-          born = clock;
-        }
-      else
-        (* Forwarded without duplication: the dependence MC (Fig 7.1)
-           transitions the instance to the independent state. *)
-        { forwarded_entry with View.anchor = None }
-    in
-    let reinforcement =
-      if duplicated then { reinforcement with View.anchor = Some node.node_id }
-      else reinforcement
-    in
-    node.messages_sent <- node.messages_sent + 1;
-    Send { destination = target_entry.View.id; message = { reinforcement; mixing }; duplicated }
+  end
 
 type receive_result = Accepted | Deleted
 
-(* The receive step. *)
-let receive config rng node message =
+(* The receive step: [View.Flat.receive] under the node's live s, plus the
+   node's counters and seen-cache. *)
+let receive config rng node { reinforcement = r; mixing = m } =
   node.messages_received <- node.messages_received + 1;
-  remember_seen node message.reinforcement.View.id;
-  remember_seen node message.mixing.View.id;
-  if View.free_slots node.view >= 2 && degree node < config.view_size then begin
-    (match View.random_empty_slot node.view rng with
-    | Some slot -> View.set node.view slot message.reinforcement
-    | None -> assert false);
-    (match View.random_empty_slot node.view rng with
-    | Some slot -> View.set node.view slot message.mixing
-    | None -> assert false);
-    Accepted
-  end
+  remember_seen node r.View.id;
+  remember_seen node m.View.id;
+  let p =
+    {
+      View.Flat.dst = node.node_id;
+      dup = false;
+      src = r.View.id;
+      r_serial = r.View.serial;
+      r_anchor = anchor_int r.View.anchor;
+      r_born = r.View.born;
+      m_id = m.View.id;
+      m_serial = m.View.serial;
+      m_anchor = anchor_int m.View.anchor;
+      m_born = m.View.born;
+    }
+  in
+  if View.Flat.receive node.view 0 rng ~s:config.view_size p then Accepted
   else begin
     node.deletions <- node.deletions + 1;
     Deleted

@@ -43,20 +43,23 @@ type initiate_result =
 val initiate :
   config ->
   Sf_prng.Rng.t ->
-  fresh_serial:(unit -> int) ->
+  serials:View.minter ->
   clock:int ->
   node ->
   initiate_result
-(** One initiate step: selects two distinct slots uniformly; on two
-    non-empty slots, produces the message to send and either clears the
-    slots or (at the threshold) duplicates. The caller transmits the
-    message; the sender never learns the outcome. *)
+(** One initiate step ({!View.Flat.initiate} with dL from [config]):
+    selects two distinct slots uniformly; on two non-empty slots, produces
+    the message to send and either clears the slots or (at the threshold)
+    duplicates.  Fresh instances take serials from [serials] and are born
+    at [clock].  The caller transmits the message; the sender never learns
+    the outcome. *)
 
 type receive_result = Accepted | Deleted
 
 val receive : config -> Sf_prng.Rng.t -> node -> message -> receive_result
-(** One receive step: installs both ids into uniformly chosen empty slots,
-    or deletes them when the view is full. *)
+(** One receive step ({!View.Flat.receive} with s from [config]):
+    installs both ids into uniformly chosen empty slots when
+    [s - degree >= 2], or deletes them. *)
 
 val invariant_holds : config -> node -> bool
 (** Observation 5.1: outdegree even and within bounds. *)

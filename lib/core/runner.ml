@@ -58,14 +58,10 @@ type audit_event =
    backoff — see [resil_tick] at the bottom of this file. *)
 type resil = {
   policy : Sf_resil.Policy.t;
-  estimator : Sf_resil.Estimator.t;
-  controller : Sf_resil.Controller.t;
+  feed : Sf_resil.Feed.t;
   supervisor : Sf_resil.Supervisor.t;
   (* Per-node retuned configs; nodes absent here run the base config. *)
   node_configs : (int, Protocol.config) Hashtbl.t;
-  mutable last_sends : int;         (* counter baselines for estimator deltas *)
-  mutable last_duplications : int;
-  mutable last_deletions : int;
   mutable ticks : int;              (* resilience decision ticks (rounds) *)
   g_estimate : Sf_obs.Metrics.gauge;
   g_true : Sf_obs.Metrics.gauge;
@@ -99,7 +95,7 @@ type t = {
   mutable live_len : int;
   mutable live_snapshot : Protocol.node array;
   mutable live_snapshot_stale : bool;
-  mutable next_serial : int;
+  serials : View.minter;
   mutable actions : int;           (* initiate steps executed *)
   mutable next_node_id : int;
   mutable timed : scheduling option;
@@ -169,11 +165,6 @@ let is_crashed t id =
   | Some injector -> Sf_faults.Injector.is_crashed injector id
 
 let fault_statistics t = Option.map Sf_faults.Injector.statistics t.injector
-
-let fresh_serial t () =
-  let s = t.next_serial in
-  t.next_serial <- s + 1;
-  s
 
 let handler t node message =
   Sf_obs.Metrics.incr t.total_receipts;
@@ -268,16 +259,12 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
       Some
         {
           policy;
-          estimator = Sf_resil.Policy.estimator policy;
-          controller =
-            Sf_resil.Policy.controller policy
+          feed =
+            Sf_resil.Feed.create policy
               ~initial:(config.Protocol.lower_threshold, config.Protocol.view_size)
               ~capacity:config.Protocol.view_size;
           supervisor = Sf_resil.Policy.supervisor policy ~rng;
           node_configs = Hashtbl.create (2 * n);
-          last_sends = 0;
-          last_duplications = 0;
-          last_deletions = 0;
           ticks = 0;
           (* Registered eagerly so exports show the resilience series from
              round zero, not from the first decision. *)
@@ -306,7 +293,7 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
       live_len = 0;
       live_snapshot = [||];
       live_snapshot_stale = false;
-      next_serial = 0;
+      serials = { View.next = 0; stride = 1 };
       actions = 0;
       next_node_id = n;
       timed = None;
@@ -332,7 +319,7 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
         | None -> invalid_arg "Runner.create: topology exceeds view size"
         | Some slot ->
           View.set node.Protocol.view slot
-            { View.id = v; serial = fresh_serial t (); anchor = None; born = 0 })
+            { View.id = v; serial = View.mint t.serials; anchor = None; born = 0 })
       (topology u);
     install_node t node
   done;
@@ -352,7 +339,7 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
 
 let config t = t.config
 let action_count t = t.actions
-let minted_serials t = t.next_serial
+let minted_serials t = t.serials.View.next
 let live_count t = Hashtbl.length t.nodes
 let network_statistics t = Sf_engine.Network.statistics t.network
 let loss_rate t = Sf_engine.Network.loss_rate t.network
@@ -386,7 +373,7 @@ let initiate_at t ~synchronous node =
   let result =
     Protocol.initiate
       (node_config t node.Protocol.node_id)
-      t.protocol_rng ~fresh_serial:(fresh_serial t) ~clock:t.actions node
+      t.protocol_rng ~serials:t.serials ~clock:t.actions node
   in
   let outcome =
     match result with
@@ -530,7 +517,7 @@ let add_node t ~bootstrap =
       | None -> invalid_arg "Runner.add_node: bootstrap exceeds view size"
       | Some slot ->
         View.set node.Protocol.view slot
-          { View.id = v; serial = fresh_serial t (); anchor = None; born = t.actions })
+          { View.id = v; serial = View.mint t.serials; anchor = None; born = t.actions })
     bootstrap;
   install_node t node;
   (match t.timed with Some s -> schedule_node t s node | None -> ());
@@ -555,14 +542,14 @@ let remove_node t id =
    requires the joiner to know ids of *live* nodes, so entries pointing at
    departed nodes are filtered out (a joiner that only knows dead ids would
    start disconnected); the donor's own id fills any shortfall. *)
+let rec take k = function
+  | [] -> []
+  | _ when k = 0 -> []
+  | x :: rest -> x :: take (k - 1) rest
+
 let bootstrap_from t ~count =
   let donor = random_live_node t in
   let live ids = List.filter (fun id -> Hashtbl.mem t.nodes id) ids in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
   let ids = take count (live (View.ids donor.Protocol.view)) in
   let shortfall = count - List.length ids in
   if shortfall <= 0 then ids
@@ -579,6 +566,37 @@ let bootstrap_from t ~count =
    ids from its view, which replace the stale view.  Donated entries are
    copies the donor keeps, so they are anchored at the donor — the same
    dependence accounting as duplication. *)
+
+(* Replace [node]'s view with anchored copies of [donor]'s id and of the
+   first dL ids of [donor]'s view that satisfy [keep] — read after the
+   clear, so a node that is its own donor copies nothing — padded with
+   the donor's id to an even outdegree (Observation 5.1).  Returns the
+   number installed. *)
+let reinstall t node ~donor ~keep =
+  let view = node.Protocol.view in
+  View.clear_all view;
+  let donated =
+    List.filter keep
+      (take t.config.Protocol.lower_threshold (View.ids donor.Protocol.view))
+  in
+  let installed = ref 0 in
+  let install id =
+    match View.random_empty_slot view t.protocol_rng with
+    | None -> ()
+    | Some slot ->
+      View.set view slot
+        {
+          View.id;
+          serial = View.mint t.serials;
+          anchor = Some donor.Protocol.node_id;
+          born = t.actions;
+        };
+      incr installed
+  in
+  install donor.Protocol.node_id;
+  List.iter install donated;
+  if View.degree view mod 2 = 1 then install donor.Protocol.node_id;
+  !installed
 
 type reconnect_result =
   | Reconnected of { donor : int; probes : int; installed : int }
@@ -611,40 +629,12 @@ let reconnect t ~node_id =
         | true, Some donor ->
           let response_arrives = not (Sf_prng.Rng.bernoulli t.protocol_rng loss) in
           if response_arrives then begin
-            let donated =
-              let rec take k = function
-                | [] -> []
-                | _ when k = 0 -> []
-                | e :: tl -> e :: take (k - 1) tl
-              in
-              take t.config.Protocol.lower_threshold (View.entries donor.Protocol.view)
-            in
-            (* Always at least the donor itself. *)
-            View.clear_all node.Protocol.view;
-            let installed = ref 0 in
-            let install id =
-              match View.random_empty_slot node.Protocol.view t.protocol_rng with
-              | None -> ()
-              | Some slot ->
-                View.set node.Protocol.view slot
-                  {
-                    View.id;
-                    serial = fresh_serial t ();
-                    anchor = Some donor.Protocol.node_id;
-                    born = t.actions;
-                  };
-                incr installed
-            in
-            install donor.Protocol.node_id;
-            List.iter (fun (e : View.entry) -> install e.View.id) donated;
-            (* Keep the outdegree even (Observation 5.1). *)
-            if View.degree node.Protocol.view mod 2 = 1 then
-              install donor.Protocol.node_id;
+            let installed = reinstall t node ~donor ~keep:(fun _ -> true) in
             Sf_obs.Metrics.incr t.total_reconnections;
             trace t (Sf_obs.Trace.Mark { label = "reconnect" });
             emit t (Structural "reconnect");
             Reconnected
-              { donor = donor.Protocol.node_id; probes = !probes; installed = !installed }
+              { donor = donor.Protocol.node_id; probes = !probes; installed }
           end
           else try_candidates rest
         | _ -> try_candidates rest)
@@ -667,38 +657,14 @@ let rebootstrap t ~node_id =
       else pick_donor ()
     in
     let donor = pick_donor () in
-    View.clear_all node.Protocol.view;
-    let installed = ref 0 in
-    let install id =
-      match View.random_empty_slot node.Protocol.view t.protocol_rng with
-      | None -> ()
-      | Some slot ->
-        View.set node.Protocol.view slot
-          {
-            View.id;
-            serial = fresh_serial t ();
-            anchor = Some donor.Protocol.node_id;
-            born = t.actions;
-          };
-        incr installed
+    let installed =
+      reinstall t node ~donor ~keep:(fun id ->
+          id <> node_id && Hashtbl.mem t.nodes id)
     in
-    let donated =
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | e :: tl -> e :: take (k - 1) tl
-      in
-      take t.config.Protocol.lower_threshold (View.entries donor.Protocol.view)
-      |> List.filter (fun (e : View.entry) ->
-             e.View.id <> node_id && Hashtbl.mem t.nodes e.View.id)
-    in
-    install donor.Protocol.node_id;
-    List.iter (fun (e : View.entry) -> install e.View.id) donated;
-    if View.degree node.Protocol.view mod 2 = 1 then install donor.Protocol.node_id;
     Sf_obs.Metrics.incr t.total_rebootstraps;
     trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
     emit t (Structural "rebootstrap");
-    !installed
+    installed
 
 (* A node is starved when its view holds no live id: every send is wasted.
    Starvation is transient while other live nodes still hold the node's id
@@ -737,7 +703,7 @@ let membership_graph t =
     (live_nodes t);
   g
 
-type world_counters = {
+type world_counters = Sharded.world_counters = {
   actions : int;
   self_loops : int;
   sends : int;
@@ -783,27 +749,16 @@ let rates_since t (baseline : world_counters) =
    repairs under backoff.  Everything here is skipped in one [None] match
    when the layer is disabled. *)
 
-(* Clamp a controller target (dL, s) to one node's situation: s cannot
-   drop below the node's current outdegree (entries are never evicted by
-   retuning — the receive rule stops accepting until decay catches up)
-   nor rise above the allocated view, and dL must stay a valid even value
-   in [0, s - 6]. *)
-let clamped_config ~capacity ~degree (dl, s) =
-  let even_up x = if x land 1 = 0 then x else x + 1 in
-  let s = min capacity (max s (max 6 (even_up degree))) in
-  let dl = max 0 (min dl (s - 6)) in
-  let dl = if dl land 1 = 0 then dl else dl - 1 in
-  Protocol.make_config ~view_size:s ~lower_threshold:dl
-
 let apply_retune t r pair =
   Array.iter
     (fun node ->
-      let cfg =
-        clamped_config
+      let dl, s =
+        Sf_resil.Feed.clamped_config
           ~capacity:(View.size node.Protocol.view)
           ~degree:(Protocol.degree node) pair
       in
-      Hashtbl.replace r.node_configs node.Protocol.node_id cfg)
+      Hashtbl.replace r.node_configs node.Protocol.node_id
+        (Protocol.make_config ~view_size:s ~lower_threshold:dl))
     (live_nodes t);
   Sf_obs.Metrics.incr r.c_retunes;
   trace t (Sf_obs.Trace.Mark { label = "retune" });
@@ -869,16 +824,13 @@ let resil_tick t =
   | None -> ()
   | Some r ->
     r.ticks <- r.ticks + 1;
-    let sends = Sf_obs.Metrics.count t.total_sends in
-    let duplications = Sf_obs.Metrics.count t.total_duplications in
-    let deletions = Sf_obs.Metrics.count t.total_deletions in
-    Sf_resil.Estimator.observe r.estimator ~sends:(sends - r.last_sends)
-      ~duplications:(duplications - r.last_duplications)
-      ~deletions:(deletions - r.last_deletions) ();
-    r.last_sends <- sends;
-    r.last_duplications <- duplications;
-    r.last_deletions <- deletions;
-    Sf_obs.Metrics.set r.g_estimate (Sf_resil.Estimator.estimate r.estimator);
+    let decision =
+      Sf_resil.Feed.tick r.feed ~sends:(Sf_obs.Metrics.count t.total_sends)
+        ~duplications:(Sf_obs.Metrics.count t.total_duplications)
+        ~deletions:(Sf_obs.Metrics.count t.total_deletions) ()
+    in
+    Sf_obs.Metrics.set r.g_estimate
+      (Sf_resil.Estimator.estimate (Sf_resil.Feed.estimator r.feed));
     (* Ground truth from the transport's windowed counters, for dashboards
        and estimator cross-checks; under non-stationary loss the window
        tracks the current regime where a cumulative rate would lag. *)
@@ -886,15 +838,7 @@ let resil_tick t =
     | Some (sent, lost) when sent > 0 ->
       Sf_obs.Metrics.set r.g_true (float_of_int lost /. float_of_int sent)
     | _ -> ());
-    if r.policy.Sf_resil.Policy.retune && Sf_resil.Estimator.confident r.estimator
-    then begin
-      match
-        Sf_resil.Controller.decide r.controller
-          ~loss:(Sf_resil.Estimator.estimate r.estimator)
-      with
-      | None -> ()
-      | Some pair -> apply_retune t r pair
-    end;
+    Option.iter (apply_retune t r) decision;
     if r.policy.Sf_resil.Policy.recover then supervise t r
 
 (* A round = as many actions as live nodes (each node initiates once in
@@ -908,7 +852,7 @@ let run_rounds t rounds =
     resil_tick t
   done
 
-type resilience_stats = {
+type resilience_stats = Sharded.resilience_stats = {
   loss_estimate : float;
   estimator_confident : bool;
   estimator_windows : int;
@@ -920,1118 +864,15 @@ type resilience_stats = {
 let resilience_statistics t =
   Option.map
     (fun r ->
+      let estimator = Sf_resil.Feed.estimator r.feed in
       {
-        loss_estimate = Sf_resil.Estimator.estimate r.estimator;
-        estimator_confident = Sf_resil.Estimator.confident r.estimator;
-        estimator_windows = Sf_resil.Estimator.windows r.estimator;
+        loss_estimate = Sf_resil.Estimator.estimate estimator;
+        estimator_confident = Sf_resil.Estimator.confident estimator;
+        estimator_windows = Sf_resil.Estimator.windows estimator;
         retunes = Sf_obs.Metrics.count r.c_retunes;
         repair_attempts = Sf_resil.Supervisor.attempts r.supervisor;
         recoveries = Sf_resil.Supervisor.recoveries r.supervisor;
       })
     t.resilience
 
-(* --- The sharded flat-state runner (ROADMAP item 1) ---
-
-   The orchestrator above tops out around 1k-10k nodes: one heap object
-   per node, boxed audit/trace plumbing on every action, and a strictly
-   serial action loop.  [Sharded] is the million-node path: the whole
-   world lives in one [View.Flat] store (four contiguous int arrays plus
-   cached degrees — nothing per-node for the GC to walk), and the action
-   loop is a bulk-synchronous variant of the paper's sequential model,
-   partitioned into [shard_count] fixed *logical* shards that OCaml 5
-   domains execute in parallel between deterministic barriers.
-
-   One round = every node initiates exactly once (the paper's section 6.5
-   round is n actions — here the schedule is the deterministic node order
-   rather than n uniform picks; A1 showed degree behaviour is scheduler-
-   robust).  Each round runs two phases:
-
-     I.  initiate: each shard walks its own nodes in id order.  An
-         initiate touches only the initiator's view; surviving messages
-         are appended, flat-encoded, to the per-(source, destination)
-         arena row owned by the source shard.  Loss is drawn at send time
-         from the source shard's stream.
-     II. deliver (after the barrier): each shard drains the arena rows
-         addressed to it — source shards in index order, messages in
-         generation order — applying the S&F receive rule to its own
-         nodes with draws from its own stream.
-
-   Determinism across domain counts is by construction, not by locking:
-   every PRNG draw comes from one of [shard_count] streams split from the
-   root seed in fixed order; each stream is consumed by exactly one
-   logical shard whose work — its own nodes in phase I, a deterministically
-   ordered inbox in phase II — does not depend on how logical shards are
-   packed onto domains.  Serials are minted per shard with stride
-   [shard_count] (shard i mints i, i + S, i + 2S, ...), so minting is
-   collision-free and shard-local.  The only cross-shard data flow is the
-   arena matrix: row [src] is written solely by shard [src] in phase I and
-   read after the barrier, so the spawn/join edges of [Sf_engine.Par] are
-   the only synchronization needed.  Hence any [domains] value replays the
-   [domains = 1] run bit-for-bit — asserted by [equal] in the tests and
-   the SCALE bench.
-
-   Chaos at scale.  The engine optionally runs the full robustness stack
-   under the same determinism contract:
-
-   - [?scenario] threads an [Sf_faults.Scenario.t] through the round loop.
-     Stateful loss processes (the Gilbert–Elliott chain position) are
-     per-shard values created from the shared model, so every chain step
-     draws from the owning shard's stream; crash and partition windows
-     are pure functions of the round clock, recomputed once per round by
-     the coordinator at the barrier and only read inside the phases.
-     Verdict order per send mirrors [Sf_faults.Injector.judge]: crash
-     drop (no randomness), partition drop (no randomness), chance loss
-     (shard-stream draw).  Delay and corruption windows are rejected —
-     this engine has no latency model and no wire bytes.
-   - [?churn] adds join/leave turnover.  The store is allocated with
-     [headroom] extra node slots beyond the initial population; slots
-     [n + c*S + i] are owned by shard [i] (shard-strided, like serial
-     minting) and threaded on a per-shard free list.  Each round opens
-     with a churn phase before phase I: every shard walks its own live
-     nodes in id order, draws leaves at the configured rate (clearing the
-     view and recycling the slot at the back of the free list), then
-     performs one join per leave — popping a slot, bootstrapping an even
-     number of entries from a donor drawn among the shard's own live
-     nodes.  All of it is shard-local, so phase determinism is untouched.
-   - [?resilience] runs the Sf_resil stack at the barrier after phase II,
-     on the coordinator: the estimator is fed the round's summed counter
-     deltas, controller retunes rewrite the per-shard (dL, s) thresholds
-     (phase I reads the shard's live dL, phase II bounds acceptance by
-     the live s — slot selection stays over the full allocation, exactly
-     like the orchestrated runner's retuning semantics), and the
-     supervisor probes in-degree isolation and weak connectivity every
-     [probe_every] rounds, rebootstrapping stragglers from a dedicated
-     resilience stream split from the root seed after the shard streams.
-
-   The edge ledger extends Lemma 6.6 accordingly: a round moves the edge
-   total by 2*accepted duplications - 2*dropped non-duplicated messages
-   + edges created by joins/rebootstraps - edges destroyed by
-   leaves/rebootstraps ([ledger] exposes all four; crashes freeze nodes
-   but destroy edges only through the messages they drop, so they need no
-   term of their own). *)
-
-module Sharded = struct
-  module Flat = View.Flat
-
-  (* Growable flat arena of in-flight messages, [fields] ints per message:
-     dst, src, duplicated (0/1), mixing id, mixing serial, mixing born,
-     reinforcement serial.  (The reinforcement id is the source id and
-     both anchors are derived from the duplication flag, so neither is
-     stored; the reinforcement is born in the sending round.) *)
-  type arena = { mutable buf : int array; mutable len : int }
-
-  let fields = 7
-
-  let arena_create () = { buf = Array.make (fields * 64) 0; len = 0 }
-
-  let arena_clear a = a.len <- 0
-
-  let arena_push a ~dst ~src ~dup ~m_id ~m_serial ~m_born ~r_serial =
-    let need = a.len + fields in
-    if need > Array.length a.buf then begin
-      let grown = Array.make (max need (2 * Array.length a.buf)) 0 in
-      Array.blit a.buf 0 grown 0 a.len;
-      a.buf <- grown
-    end;
-    let b = a.buf and i = a.len in
-    b.(i) <- dst;
-    b.(i + 1) <- src;
-    b.(i + 2) <- dup;
-    b.(i + 3) <- m_id;
-    b.(i + 4) <- m_serial;
-    b.(i + 5) <- m_born;
-    b.(i + 6) <- r_serial;
-    a.len <- need
-
-  type churn = {
-    churn_rate : float;  (* per-round leave probability of each live node *)
-    headroom : int;  (* extra node slots beyond n, rounded up to a multiple
-                        of the shard count and strided across shards *)
-  }
-
-  type churn_stats = {
-    joins : int;
-    leaves : int;
-    join_skips : int;  (* joins skipped because a shard had no live donor *)
-    deliveries_to_dead : int;
-  }
-
-  type ledger = {
-    accepted_duplications : int;
-    dropped_non_duplicated : int;
-    churn_edges_added : int;  (* installed by joins and rebootstraps *)
-    churn_edges_removed : int;  (* cleared by leaves and rebootstraps *)
-  }
-
-  (* All mutable per-shard state: touched only by the domain currently
-     running this shard, reduced by the coordinator between barriers. *)
-  type shard = {
-    index : int;
-    lo : int;  (* first owned node *)
-    hi : int;  (* one past the last owned node *)
-    owned : int array;  (* every owned slot, ascending: lo..hi-1, extras *)
-    rng : Sf_prng.Rng.t;
-    out : arena array;  (* row of the arena matrix: one per destination shard *)
-    loss : Sf_faults.Loss.t option;
-        (* this shard's stateful loss process (Gilbert–Elliott chain
-           position); [None] on the scenario-free path, which must replay
-           the historical stream bit-for-bit *)
-    mutable cfg_dl : int;  (* live thresholds — rewritten only by the *)
-    mutable cfg_s : int;   (* coordinator at barriers (resilience retunes) *)
-    mutable live : int;  (* live owned nodes *)
-    free : int array;  (* ring buffer of free owned slots *)
-    mutable free_head : int;
-    mutable free_len : int;
-    mutable minted : int;  (* serials handed out: minted * shard_count + index *)
-    mutable sh_actions : int;
-    mutable sh_self_loops : int;
-    mutable sh_sends : int;
-    mutable sh_duplications : int;
-    mutable sh_receipts : int;
-    mutable sh_deletions : int;
-    mutable sh_lost : int;
-    mutable sh_burst_drops : int;  (* subset of sh_lost drawn in a Bad state *)
-    mutable sh_crash_drops : int;
-    mutable sh_partition_drops : int;
-    mutable sh_joins : int;
-    mutable sh_leaves : int;
-    mutable sh_join_skips : int;
-    mutable sh_to_dead : int;
-    (* Edge-conservation ledger (Lemma 6.6 at round granularity): a round
-       moves the global edge count by exactly
-       2 * accepted_duplications - 2 * dropped_non_duplicated
-       + edges_added - edges_removed. *)
-    mutable sh_accepted_dup : int;
-    mutable sh_dropped_nondup : int;
-    mutable sh_edges_added : int;
-    mutable sh_edges_removed : int;
-  }
-
-  (* Barrier-time resilience state, touched only by the coordinator. *)
-  type resil = {
-    r_policy : Sf_resil.Policy.t;
-    r_rng : Sf_prng.Rng.t;  (* split from the root after the shard streams *)
-    r_estimator : Sf_resil.Estimator.t;
-    r_controller : Sf_resil.Controller.t;
-    r_supervisor : Sf_resil.Supervisor.t;
-    r_probe_every : int;
-    mutable r_sends : int;  (* counter positions at the last estimator feed *)
-    mutable r_dups : int;
-    mutable r_dels : int;
-    mutable r_dead : int;  (* churn-correction positions: deliveries to dead *)
-    mutable r_eadd : int;  (* slots and the ledger's out-of-band edge flux *)
-    mutable r_erem : int;
-    mutable r_edges : int;  (* total edge count at the last feed *)
-    mutable r_pending : bool;  (* a repair attempt awaits its follow-up probe *)
-  }
-
-  type t = {
-    sh_config : Protocol.config;
-    n : int;  (* initial population; also the partition block base *)
-    capacity : int;  (* node slots in the store: n + rounded headroom *)
-    shard_count : int;
-    chunk : int;  (* initial nodes per shard; shard of node u < n is u / chunk *)
-    loss_rate : float;
-    scenario : Sf_faults.Scenario.t option;
-    churn_spec : churn option;
-    store : Flat.t;
-    alive : int array;  (* 1 = live; each slot written only by its owner
-                           shard (churn phase) or the coordinator (barriers) *)
-    shards : shard array;
-    mutable rounds : int;
-    (* Active-window state: pure functions of (scenario, round), recomputed
-       once per round by the coordinator before phase I; read-only inside
-       the phases. *)
-    mutable active_crashes : (int * int) list;
-    mutable active_parts : int list;
-    window_active : bool array;
-    mutable fault_transitions : int;
-    resil : resil option;
-  }
-
-  let mint t sh =
-    let serial = (sh.minted * t.shard_count) + sh.index in
-    sh.minted <- sh.minted + 1;
-    serial
-
-  type init_topology = Ring | Scatter
-
-  (* SplitMix64-style finalizer truncated to OCaml's 63-bit ints: the
-     Scatter start derives every initial edge from this pure function of
-     (seed, u, k), so it consumes no RNG stream — enabling it cannot
-     perturb the per-shard streams, and the result is identical for every
-     shard/domain layout. *)
-  let scatter_target ~seed ~n u k =
-    let h =
-      ref
-        ((seed * 0x1E3779B97F4A7C15)
-        + (u * 0x3F58476D1CE4E5B9)
-        + (k * 0x14D049BB133111EB))
-    in
-    h := !h lxor (!h lsr 30);
-    h := !h * 0x3F58476D1CE4E5B9;
-    h := !h lxor (!h lsr 27);
-    h := !h * 0x14D049BB133111EB;
-    h := !h lxor (!h lsr 31);
-    let v = !h land max_int mod (n - 1) in
-    if v >= u then v + 1 else v
-
-  let create ?(shards = 16) ?(loss_rate = 0.) ?init_degree ?(init = Ring)
-      ?scenario ?churn ?resilience ?(probe_every = 8) ~seed ~n ~config () =
-    if n < 3 then invalid_arg "Runner.Sharded.create: need at least 3 nodes";
-    if shards < 1 then invalid_arg "Runner.Sharded.create: need at least 1 shard";
-    if loss_rate < 0. || loss_rate >= 1. then
-      invalid_arg "Runner.Sharded.create: loss rate outside [0, 1)";
-    if probe_every < 1 then
-      invalid_arg "Runner.Sharded.create: probe_every must be >= 1";
-    (match scenario with
-    | None -> ()
-    | Some sc ->
-      List.iter
-        (fun w ->
-          match w.Sf_faults.Scenario.fault with
-          | Sf_faults.Scenario.Delay _ | Sf_faults.Scenario.Corrupt _ ->
-            invalid_arg
-              (Fmt.str
-                 "Runner.Sharded.create: %s windows are not supported on the \
-                  sharded engine (no latency model, no wire bytes)"
-                 (Sf_faults.Scenario.fault_kind w.Sf_faults.Scenario.fault))
-          | Sf_faults.Scenario.Partition _ | Sf_faults.Scenario.Crash _ -> ())
-        sc.Sf_faults.Scenario.windows);
-    (match churn with
-    | None -> ()
-    | Some c ->
-      if c.churn_rate < 0. || c.churn_rate >= 1. then
-        invalid_arg "Runner.Sharded.create: churn rate outside [0, 1)";
-      if c.headroom < 0 then
-        invalid_arg "Runner.Sharded.create: negative churn headroom");
-    let view_size = config.Protocol.view_size in
-    let d0 =
-      match init_degree with
-      | Some d ->
-        if d < 2 || d > view_size || d >= n || d land 1 = 1 then
-          invalid_arg
-            "Runner.Sharded.create: init_degree must be even, >= 2, <= view \
-             size and < n";
-        d
-      | None ->
-        (* Between dL and s, like the orchestrated runner's default start. *)
-        let d = (view_size + config.Protocol.lower_threshold) / 2 in
-        let d = min d (n - 1) in
-        let d = if d land 1 = 1 then d - 1 else d in
-        max 2 d
-    in
-    let chunk = (n + shards - 1) / shards in
-    (* Headroom slots live at n + c*S + i (owned by shard i): strided like
-       serial minting, so every shard can mint fresh node slots without
-       coordination. *)
-    let per_shard_extra =
-      match churn with
-      | None -> 0
-      | Some c -> (c.headroom + shards - 1) / shards
-    in
-    let capacity = n + (per_shard_extra * shards) in
-    let root = Sf_prng.Rng.create seed in
-    let store = Flat.create ~nodes:capacity ~view_size in
-    (* Streams are split from the root in shard order — explicitly, because
-       the split advances the root and the order is part of the seed
-       contract.  The resilience stream, when present, splits after all
-       shard streams, so enabling resilience never perturbs them. *)
-    let shard_list = ref [] in
-    for index = 0 to shards - 1 do
-      let lo = min n (index * chunk) and hi = min n ((index + 1) * chunk) in
-      let owned =
-        Array.init
-          (hi - lo + per_shard_extra)
-          (fun k -> if k < hi - lo then lo + k else n + ((k - (hi - lo)) * shards) + index)
-      in
-      let free = Array.make (max 1 (Array.length owned)) 0 in
-      for c = 0 to per_shard_extra - 1 do
-        free.(c) <- n + (c * shards) + index
-      done;
-      let sh =
-        {
-          index;
-          lo;
-          hi;
-          owned;
-          rng = Sf_prng.Rng.split root;
-          out = Array.init shards (fun _ -> arena_create ());
-          loss =
-            (match scenario with
-            | None -> None
-            | Some sc -> Some (Sf_faults.Loss.create sc.Sf_faults.Scenario.loss));
-          cfg_dl = config.Protocol.lower_threshold;
-          cfg_s = view_size;
-          live = hi - lo;
-          free;
-          free_head = 0;
-          free_len = per_shard_extra;
-          minted = 0;
-          sh_actions = 0;
-          sh_self_loops = 0;
-          sh_sends = 0;
-          sh_duplications = 0;
-          sh_receipts = 0;
-          sh_deletions = 0;
-          sh_lost = 0;
-          sh_burst_drops = 0;
-          sh_crash_drops = 0;
-          sh_partition_drops = 0;
-          sh_joins = 0;
-          sh_leaves = 0;
-          sh_join_skips = 0;
-          sh_to_dead = 0;
-          sh_accepted_dup = 0;
-          sh_dropped_nondup = 0;
-          sh_edges_added = 0;
-          sh_edges_removed = 0;
-        }
-      in
-      shard_list := sh :: !shard_list
-    done;
-    let alive = Array.make capacity 0 in
-    Array.fill alive 0 n 1;
-    let resil =
-      match resilience with
-      | None -> None
-      | Some policy ->
-        let r_rng = Sf_prng.Rng.split root in
-        Some
-          {
-            r_policy = policy;
-            r_rng;
-            r_estimator = Sf_resil.Policy.estimator policy;
-            r_controller =
-              Sf_resil.Policy.controller policy
-                ~initial:(config.Protocol.lower_threshold, view_size)
-                ~capacity:view_size;
-            r_supervisor = Sf_resil.Policy.supervisor policy ~rng:r_rng;
-            r_probe_every = probe_every;
-            r_sends = 0;
-            r_dups = 0;
-            r_dels = 0;
-            r_dead = 0;
-            r_eadd = 0;
-            r_erem = 0;
-            r_edges = 0;  (* re-synced below once the ring is installed *)
-            r_pending = false;
-          }
-    in
-    let t =
-      {
-        sh_config = config;
-        n;
-        capacity;
-        shard_count = shards;
-        chunk;
-        loss_rate;
-        scenario;
-        churn_spec = churn;
-        store;
-        alive;
-        shards = Array.of_list (List.rev !shard_list);
-        rounds = 0;
-        active_crashes = [];
-        active_parts = [];
-        window_active =
-          (match scenario with
-          | None -> [||]
-          | Some sc ->
-            Array.make (List.length sc.Sf_faults.Scenario.windows) false);
-        fault_transitions = 0;
-        resil;
-      }
-    in
-    (* Uniform even outdegree d0 — the section 4 requirement — installed
-       shard by shard so initial serials are shard-strided like every
-       later mint.  Ring: u points at u+1 .. u+d0 mod n (the historical
-       deterministic start; weakly connected, but a 1-D cycle, so views
-       mix only at random-walk speed).  Scatter: u points at d0
-       hash-scattered non-self ids — an expander-like start whose views
-       mix in O(log n) rounds, which rumor-spreading workloads need. *)
-    Array.iter
-      (fun sh ->
-        for u = sh.lo to sh.hi - 1 do
-          for k = 0 to d0 - 1 do
-            let id =
-              match init with
-              | Ring -> (u + k + 1) mod n
-              | Scatter -> scatter_target ~seed ~n u k
-            in
-            Flat.set store u k ~id ~serial:(mint t sh) ~anchor:(-1) ~born:0
-          done
-        done)
-      t.shards;
-    (* The estimator's edge-count baseline must include the ring just
-       installed, or its first window sees a spurious +n*d0 drift. *)
-    (match t.resil with
-    | None -> ()
-    | Some r -> r.r_edges <- Flat.total_edges store);
-    t
-
-  let shard_of t id = if id < t.n then id / t.chunk else (id - t.n) mod t.shard_count
-
-  (* --- Barrier-time window state (coordinator only) --- *)
-
-  (* Recompute the active crash ranges and partition splits for the round
-     about to run.  Activity is a pure function of the round clock, so the
-     phases can consult it from any shard without synchronization. *)
-  let refresh_windows t =
-    match t.scenario with
-    | None -> ()
-    | Some sc ->
-      let now = float_of_int t.rounds in
-      let crashes = ref [] and parts = ref [] in
-      List.iteri
-        (fun k w ->
-          let active =
-            w.Sf_faults.Scenario.start <= now && now < w.Sf_faults.Scenario.stop
-          in
-          if active <> t.window_active.(k) then begin
-            t.window_active.(k) <- active;
-            t.fault_transitions <- t.fault_transitions + 1
-          end;
-          if active then
-            match w.Sf_faults.Scenario.fault with
-            | Sf_faults.Scenario.Crash { first; last } ->
-              crashes := (first, last) :: !crashes
-            | Sf_faults.Scenario.Partition { parts = p } -> parts := p :: !parts
-            | Sf_faults.Scenario.Delay _ | Sf_faults.Scenario.Corrupt _ -> ())
-        sc.Sf_faults.Scenario.windows;
-      t.active_crashes <- List.rev !crashes;
-      t.active_parts <- List.rev !parts
-
-  (* Both window queries run per send; they recurse at top level rather
-     than through [List.exists], whose predicate closure would allocate. *)
-  let rec in_ranges id = function
-    | [] -> false
-    | (first, last) :: rest -> (id >= first && id <= last) || in_ranges id rest
-
-  let is_crashed t id = in_ranges id t.active_crashes
-
-  (* Same block rule as Sf_faults.Injector: contiguous blocks of the
-     initial id space; joiner ids beyond it wrap by [id mod n]. *)
-  let block t ~parts id =
-    let id = id mod t.n in
-    min (parts - 1) (id * parts / t.n)
-
-  let rec split_by t ~src ~dst = function
-    | [] -> false
-    | parts :: rest ->
-      block t ~parts src <> block t ~parts dst || split_by t ~src ~dst rest
-
-  let partitioned t ~src ~dst = split_by t ~src ~dst t.active_parts
-
-  (* --- Per-shard free list of node slots (ring buffer) --- *)
-
-  let free_push sh slot =
-    sh.free.((sh.free_head + sh.free_len) mod Array.length sh.free) <- slot;
-    sh.free_len <- sh.free_len + 1
-
-  let free_pop sh =
-    let slot = sh.free.(sh.free_head) in
-    sh.free_head <- (sh.free_head + 1) mod Array.length sh.free;
-    sh.free_len <- sh.free_len - 1;
-    slot
-
-  (* --- Churn phase (before phase I; every shard touches only its own
-     slots and its own stream) --- *)
-
-  let clear_view t u =
-    let d = Flat.degree t.store u in
-    if d > 0 then
-      for slot = 0 to t.sh_config.Protocol.view_size - 1 do
-        Flat.clear t.store u slot
-      done;
-    d
-
-  (* Bootstrap a freshly joined node from [donor]'s view: the donor's own
-     id first, then the donor's entries in slot order, padded with the
-     donor id to an even count, all as anchored copies with fresh serials.
-     No liveness filter on the copied ids — the donor's entries may point
-     at other shards' nodes, whose alive bits are concurrently churning;
-     stale ids simply decay like any dead reference.  (Refs to this very
-     slot's previous incarnation are filtered: a node must not be born
-     pointing at itself.) *)
-  let bootstrap_join t sh ~slot ~donor =
-    let store = t.store in
-    let view_size = t.sh_config.Protocol.view_size in
-    let born = t.rounds in
-    let target = max 2 sh.cfg_dl in
-    let installed = ref 0 in
-    let install id =
-      let sl = Flat.random_empty_slot store slot sh.rng in
-      Flat.set store slot sl ~id ~serial:(mint t sh) ~anchor:donor ~born;
-      incr installed
-    in
-    install donor;
-    let k = ref 0 in
-    while !installed < target && !k < view_size do
-      let id = Flat.id_at store donor !k in
-      if id >= 0 && id <> slot then install id;
-      incr k
-    done;
-    if !installed land 1 = 1 then install donor;
-    !installed
-
-  let churn_shard t spec sh =
-    let rate = spec.churn_rate in
-    let leavers = ref 0 in
-    Array.iter
-      (fun u ->
-        if t.alive.(u) = 1 && Sf_prng.Rng.bernoulli sh.rng rate then begin
-          sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t u;
-          t.alive.(u) <- 0;
-          sh.live <- sh.live - 1;
-          free_push sh u;
-          sh.sh_leaves <- sh.sh_leaves + 1;
-          incr leavers
-        end)
-      sh.owned;
-    (* One join per leave: the population is stationary with [rate]
-       turnover.  Slots are popped oldest-first, delaying id reuse by the
-       full depth of the free list. *)
-    let owned_n = Array.length sh.owned in
-    for _ = 1 to !leavers do
-      if sh.live = 0 then sh.sh_join_skips <- sh.sh_join_skips + 1
-      else begin
-        let slot = free_pop sh in
-        let donor = ref sh.owned.(Sf_prng.Rng.int sh.rng owned_n) in
-        while t.alive.(!donor) = 0 do
-          donor := sh.owned.(Sf_prng.Rng.int sh.rng owned_n)
-        done;
-        let installed = bootstrap_join t sh ~slot ~donor:!donor in
-        sh.sh_edges_added <- sh.sh_edges_added + installed;
-        t.alive.(slot) <- 1;
-        sh.live <- sh.live + 1;
-        sh.sh_joins <- sh.sh_joins + 1
-      end
-    done
-
-  (* Phase I: every owned live, un-crashed node initiates once, in id
-     order. *)
-  let initiate_shard t sh =
-    (* The previous round's outbox row has been fully drained (the barrier
-       guarantees it); reclaim it before writing this round's messages. *)
-    Array.iter arena_clear sh.out;
-    let store = t.store in
-    let view_size = t.sh_config.Protocol.view_size in
-    let born = t.rounds in
-    Array.iter
-      (fun u ->
-        (* Dead slots hold no node; crashed nodes freeze (no initiations —
-           the source half of Injector.judge's crash verdict). *)
-        if t.alive.(u) = 1 && not (is_crashed t u) then begin
-          sh.sh_actions <- sh.sh_actions + 1;
-          (* Slot selection ranges over the full allocation even when a
-             retune shrank cfg_s — same semantics as Protocol.initiate.
-             [Rng.distinct_pair] spelled as its two draws, so no pair is
-             allocated. *)
-          let i = Sf_prng.Rng.int sh.rng view_size in
-          let j = Sf_prng.Rng.int_except sh.rng view_size i in
-          let target = Flat.id_at store u i in
-          let forwarded = Flat.id_at store u j in
-          if target < 0 || forwarded < 0 then
-            sh.sh_self_loops <- sh.sh_self_loops + 1
-          else begin
-            let duplicated = Flat.degree store u <= sh.cfg_dl in
-            (* Capture the forwarded instance before the slots are cleared. *)
-            let old_serial = Flat.serial_at store u j in
-            let old_born = Flat.born_at store u j in
-            if duplicated then sh.sh_duplications <- sh.sh_duplications + 1
-            else begin
-              Flat.clear store u i;
-              Flat.clear store u j
-            end;
-            let r_serial = mint t sh in
-            let m_serial = if duplicated then mint t sh else old_serial in
-            let m_born = if duplicated then born else old_born in
-            sh.sh_sends <- sh.sh_sends + 1;
-            (* Verdict order mirrors Sf_faults.Injector.judge: crash drop
-               (no randomness), partition drop (no randomness), then the
-               chance-loss draw from this shard's stream. *)
-            if is_crashed t target then begin
-              sh.sh_crash_drops <- sh.sh_crash_drops + 1;
-              if not duplicated then
-                sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-            end
-            else if partitioned t ~src:u ~dst:target then begin
-              sh.sh_partition_drops <- sh.sh_partition_drops + 1;
-              if not duplicated then
-                sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-            end
-            else begin
-              let lost =
-                match sh.loss with
-                | None ->
-                  t.loss_rate > 0. && Sf_prng.Rng.bernoulli sh.rng t.loss_rate
-                | Some l ->
-                  Sf_faults.Loss.drop l sh.rng ~chance:t.loss_rate ~src:u
-                    ~dst:target
-              in
-              if lost then begin
-                sh.sh_lost <- sh.sh_lost + 1;
-                (match sh.loss with
-                | Some l when Sf_faults.Loss.in_burst l ->
-                  sh.sh_burst_drops <- sh.sh_burst_drops + 1
-                | Some _ | None -> ());
-                if not duplicated then
-                  sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-              end
-              else
-                arena_push
-                  sh.out.(shard_of t target)
-                  ~dst:target ~src:u
-                  ~dup:(if duplicated then 1 else 0)
-                  ~m_id:forwarded ~m_serial ~m_born ~r_serial
-            end
-          end
-        end)
-      sh.owned
-
-  (* Phase II: drain the arena rows addressed to this shard — source
-     shards in index order, messages in generation order — applying the
-     receive rule to owned nodes. *)
-  let deliver_shard t sh =
-    let store = t.store in
-    let born = t.rounds in
-    for src_shard = 0 to t.shard_count - 1 do
-      let a = t.shards.(src_shard).out.(sh.index) in
-      let b = a.buf in
-      let i = ref 0 in
-      while !i < a.len do
-        let dst = b.(!i) in
-        let src = b.(!i + 1) in
-        let dup = b.(!i + 2) in
-        let m_id = b.(!i + 3) in
-        let m_serial = b.(!i + 4) in
-        let m_born = b.(!i + 5) in
-        let r_serial = b.(!i + 6) in
-        if t.alive.(dst) = 0 then begin
-          (* The destination left (or its slot was never live): the sender
-             cannot know — the message is simply lost on the floor. *)
-          sh.sh_to_dead <- sh.sh_to_dead + 1;
-          if dup = 0 then sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-        end
-        else begin
-          sh.sh_receipts <- sh.sh_receipts + 1;
-          (* Acceptance is bounded by the live (possibly retuned) s, not
-             the allocation — Protocol.receive's rule. *)
-          if sh.cfg_s - Flat.degree store dst >= 2 then begin
-            let anchor = if dup = 1 then src else -1 in
-            let slot = Flat.random_empty_slot store dst sh.rng in
-            Flat.set store dst slot ~id:src ~serial:r_serial ~anchor ~born;
-            let slot = Flat.random_empty_slot store dst sh.rng in
-            Flat.set store dst slot ~id:m_id ~serial:m_serial ~anchor
-              ~born:m_born;
-            if dup = 1 then sh.sh_accepted_dup <- sh.sh_accepted_dup + 1
-          end
-          else begin
-            sh.sh_deletions <- sh.sh_deletions + 1;
-            if dup = 0 then sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-          end
-        end;
-        i := !i + fields
-      done
-    done
-
-  let config t = t.sh_config
-  let node_count t = t.n
-  let capacity t = t.capacity
-  let shard_count t = t.shard_count
-  let scenario t = t.scenario
-  let loss_rate t = t.loss_rate
-  let rounds_completed t = t.rounds
-  let store t = t.store
-  let total_edges t = Flat.total_edges t.store
-  let is_live t id = id >= 0 && id < t.capacity && t.alive.(id) = 1
-  let live_count t = Array.fold_left (fun acc sh -> acc + sh.live) 0 t.shards
-
-  let minted t = Array.map (fun sh -> sh.minted) t.shards
-
-  let conservation t =
-    Array.fold_left
-      (fun (dup, dropped) sh ->
-        (dup + sh.sh_accepted_dup, dropped + sh.sh_dropped_nondup))
-      (0, 0) t.shards
-
-  let ledger t =
-    Array.fold_left
-      (fun acc sh ->
-        {
-          accepted_duplications =
-            acc.accepted_duplications + sh.sh_accepted_dup;
-          dropped_non_duplicated =
-            acc.dropped_non_duplicated + sh.sh_dropped_nondup;
-          churn_edges_added = acc.churn_edges_added + sh.sh_edges_added;
-          churn_edges_removed = acc.churn_edges_removed + sh.sh_edges_removed;
-        })
-      {
-        accepted_duplications = 0;
-        dropped_non_duplicated = 0;
-        churn_edges_added = 0;
-        churn_edges_removed = 0;
-      }
-      t.shards
-
-  let churn_statistics t =
-    Array.fold_left
-      (fun acc sh ->
-        {
-          joins = acc.joins + sh.sh_joins;
-          leaves = acc.leaves + sh.sh_leaves;
-          join_skips = acc.join_skips + sh.sh_join_skips;
-          deliveries_to_dead = acc.deliveries_to_dead + sh.sh_to_dead;
-        })
-      { joins = 0; leaves = 0; join_skips = 0; deliveries_to_dead = 0 }
-      t.shards
-
-  let fault_statistics t =
-    match t.scenario with
-    | None -> None
-    | Some _ ->
-      let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards in
-      Some
-        {
-          Sf_faults.Injector.judged = sum (fun sh -> sh.sh_sends);
-          chance_drops = sum (fun sh -> sh.sh_lost);
-          burst_drops = sum (fun sh -> sh.sh_burst_drops);
-          partition_drops = sum (fun sh -> sh.sh_partition_drops);
-          crash_drops = sum (fun sh -> sh.sh_crash_drops);
-          corruptions = 0;
-          fault_transitions = t.fault_transitions;
-        }
-
-  let world_counters t =
-    Array.fold_left
-      (fun acc sh ->
-        {
-          actions = acc.actions + sh.sh_actions;
-          self_loops = acc.self_loops + sh.sh_self_loops;
-          sends = acc.sends + sh.sh_sends;
-          duplications = acc.duplications + sh.sh_duplications;
-          receipts = acc.receipts + sh.sh_receipts;
-          deletions = acc.deletions + sh.sh_deletions;
-          messages_lost = acc.messages_lost + sh.sh_lost;
-        })
-      {
-        actions = 0;
-        self_loops = 0;
-        sends = 0;
-        duplications = 0;
-        receipts = 0;
-        deletions = 0;
-        messages_lost = 0;
-      }
-      t.shards
-
-  (* --- Barrier-time resilience (coordinator only) --- *)
-
-  (* Rebootstrap node [v] from [donor] at a barrier: clear the stale view
-     and install an even bootstrap copied from the donor, charging both
-     sides of the churn edge ledger.  Serials are minted from [v]'s owning
-     shard, so the strided mint invariant survives.  Liveness of copied
-     ids CAN be filtered here — the alive array is quiescent between
-     barriers. *)
-  let rebootstrap_flat t r ~v ~donor =
-    let sh = t.shards.(shard_of t v) in
-    let store = t.store in
-    let view_size = t.sh_config.Protocol.view_size in
-    let born = t.rounds in
-    sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t v;
-    let target = max 2 sh.cfg_dl in
-    let installed = ref 0 in
-    let install id =
-      let sl = Flat.random_empty_slot store v r.r_rng in
-      Flat.set store v sl ~id ~serial:(mint t sh) ~anchor:donor ~born;
-      incr installed
-    in
-    install donor;
-    let k = ref 0 in
-    while !installed < target && !k < view_size do
-      let id = Flat.id_at store donor !k in
-      if id >= 0 && id <> v && t.alive.(id) = 1 then install id;
-      incr k
-    done;
-    if !installed land 1 = 1 then install donor;
-    sh.sh_edges_added <- sh.sh_edges_added + !installed
-
-  (* A random live node satisfying [accept]: bounded rejection sampling,
-     then a deterministic wrap-around scan from the last draw so a thin
-     target set cannot stall the barrier. *)
-  let draw_live t r ~accept =
-    let attempt = ref 0 and found = ref (-1) and last = ref 0 in
-    while !found < 0 && !attempt < 64 do
-      let u = Sf_prng.Rng.int r.r_rng t.capacity in
-      last := u;
-      if t.alive.(u) = 1 && accept u then found := u;
-      incr attempt
-    done;
-    if !found >= 0 then !found
-    else begin
-      let u = ref !last and steps = ref 0 in
-      while !found < 0 && !steps < t.capacity do
-        if t.alive.(!u) = 1 && accept !u then found := !u
-        else begin
-          u := (!u + 1) mod t.capacity;
-          incr steps
-        end
-      done;
-      !found
-    end
-
-  (* Overlay health probe: in-degree isolation (a live node nobody points
-     at and that points at nobody) and weak connectivity (union-find over
-     the live subgraph, self-edges and dead refs ignored). *)
-  let probe_and_repair t r =
-    let store = t.store in
-    let view_size = t.sh_config.Protocol.view_size in
-    let cap = t.capacity in
-    let parent = Array.init cap (fun i -> i) in
-    let comp_size = Array.make cap 1 in
-    let find i =
-      let root = ref i in
-      while parent.(!root) <> !root do
-        root := parent.(!root)
-      done;
-      let c = ref i in
-      while parent.(!c) <> !root do
-        let next = parent.(!c) in
-        parent.(!c) <- !root;
-        c := next
-      done;
-      !root
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then
-        if comp_size.(ra) >= comp_size.(rb) then begin
-          parent.(rb) <- ra;
-          comp_size.(ra) <- comp_size.(ra) + comp_size.(rb)
-        end
-        else begin
-          parent.(ra) <- rb;
-          comp_size.(rb) <- comp_size.(rb) + comp_size.(ra)
-        end
-    in
-    let indeg = Array.make cap 0 in
-    for u = 0 to cap - 1 do
-      if t.alive.(u) = 1 then
-        for k = 0 to view_size - 1 do
-          let id = Flat.id_at store u k in
-          if id >= 0 && id <> u && id < cap && t.alive.(id) = 1 then begin
-            indeg.(id) <- indeg.(id) + 1;
-            union u id
-          end
-        done
-    done;
-    (* Largest live component (smallest root breaks ties — determinism). *)
-    let largest_root = ref (-1) and largest = ref 0 in
-    for u = 0 to cap - 1 do
-      if t.alive.(u) = 1 && find u = u && comp_size.(u) > !largest then begin
-        largest := comp_size.(u);
-        largest_root := u
-      end
-    done;
-    let isolated = ref [] and minority_roots = ref [] in
-    for u = cap - 1 downto 0 do
-      if t.alive.(u) = 1 then begin
-        if Flat.degree store u = 0 && indeg.(u) = 0 then
-          isolated := u :: !isolated
-        else if find u = u && u <> !largest_root then
-          minority_roots := u :: !minority_roots
-      end
-    done;
-    let healthy = !isolated = [] && !minority_roots = [] in
-    if not healthy then begin
-      (* Cap the repair batch: a catastrophically sick world heals over
-         several supervised attempts rather than one unbounded barrier. *)
-      let budget = ref 128 in
-      List.iter
-        (fun v ->
-          if !budget > 0 then begin
-            let donor =
-              draw_live t r ~accept:(fun u ->
-                  u <> v && Flat.degree store u >= 2)
-            in
-            if donor >= 0 then begin
-              rebootstrap_flat t r ~v ~donor;
-              decr budget
-            end
-          end)
-        !isolated;
-      List.iter
-        (fun v ->
-          if !budget > 0 then begin
-            let lr = !largest_root in
-            let donor =
-              draw_live t r ~accept:(fun u ->
-                  u <> v && find u = lr && Flat.degree store u >= 2)
-            in
-            if donor >= 0 then begin
-              rebootstrap_flat t r ~v ~donor;
-              decr budget
-            end
-          end)
-        !minority_roots
-    end;
-    healthy
-
-  let resil_tick t =
-    match t.resil with
-    | None -> ()
-    | Some r ->
-      let wc = world_counters t in
-      (* Churn-aware Lemma 6.6 inversion: the ledger's out-of-band edge
-         flux (bootstraps, leaves, rebootstraps), the sends swallowed by
-         departed slots and the overlay's edge-count drift are exactly
-         the terms that biased the bare estimate under churn and fault
-         transients — feed their deltas alongside the counters. *)
-      let dead = Array.fold_left (fun acc sh -> acc + sh.sh_to_dead) 0 t.shards in
-      let eadd =
-        Array.fold_left (fun acc sh -> acc + sh.sh_edges_added) 0 t.shards
-      in
-      let erem =
-        Array.fold_left (fun acc sh -> acc + sh.sh_edges_removed) 0 t.shards
-      in
-      let edges = Flat.total_edges t.store in
-      Sf_resil.Estimator.observe r.r_estimator
-        ~to_dead:(dead - r.r_dead)
-        ~churn_edges_added:(eadd - r.r_eadd)
-        ~churn_edges_removed:(erem - r.r_erem)
-        ~edge_delta:(edges - r.r_edges)
-        ~sends:(wc.sends - r.r_sends)
-        ~duplications:(wc.duplications - r.r_dups)
-        ~deletions:(wc.deletions - r.r_dels) ();
-      r.r_sends <- wc.sends;
-      r.r_dups <- wc.duplications;
-      r.r_dels <- wc.deletions;
-      r.r_dead <- dead;
-      r.r_eadd <- eadd;
-      r.r_erem <- erem;
-      r.r_edges <- edges;
-      if r.r_policy.Sf_resil.Policy.retune
-         && Sf_resil.Estimator.confident r.r_estimator
-      then begin
-        match
-          Sf_resil.Controller.decide r.r_controller
-            ~loss:(Sf_resil.Estimator.estimate r.r_estimator)
-        with
-        | None -> ()
-        | Some (dl, s) ->
-          (* Applied to every shard at the barrier: phases only read. *)
-          Array.iter
-            (fun sh ->
-              sh.cfg_dl <- dl;
-              sh.cfg_s <- s)
-            t.shards
-      end;
-      if r.r_policy.Sf_resil.Policy.recover && t.rounds mod r.r_probe_every = 0
-      then begin
-        let now = float_of_int t.rounds in
-        if Sf_resil.Supervisor.due r.r_supervisor ~now then begin
-          if probe_and_repair t r then begin
-            if r.r_pending then begin
-              Sf_resil.Supervisor.record_success r.r_supervisor;
-              r.r_pending <- false
-            end
-            else Sf_resil.Supervisor.record_healthy r.r_supervisor
-          end
-          else begin
-            ignore (Sf_resil.Supervisor.record_attempt r.r_supervisor ~now);
-            r.r_pending <- true
-          end
-        end
-      end
-
-  let resilience_statistics t =
-    match t.resil with
-    | None -> None
-    | Some r ->
-      Some
-        {
-          loss_estimate = Sf_resil.Estimator.estimate r.r_estimator;
-          estimator_confident = Sf_resil.Estimator.confident r.r_estimator;
-          estimator_windows = Sf_resil.Estimator.windows r.r_estimator;
-          retunes = Sf_resil.Controller.retunes r.r_controller;
-          repair_attempts = Sf_resil.Supervisor.attempts r.r_supervisor;
-          recoveries = Sf_resil.Supervisor.recoveries r.r_supervisor;
-        }
-
-  let live_thresholds t =
-    let sh = t.shards.(0) in
-    (sh.cfg_dl, sh.cfg_s)
-
-  let run_round t ~domains =
-    refresh_windows t;
-    (match t.churn_spec with
-    | Some spec when spec.churn_rate > 0. ->
-      Sf_engine.Par.run ~domains ~tasks:t.shard_count (fun i ->
-          churn_shard t spec t.shards.(i))
-    | Some _ | None -> ());
-    Sf_engine.Par.run ~domains ~tasks:t.shard_count (fun i ->
-        initiate_shard t t.shards.(i));
-    Sf_engine.Par.run ~domains ~tasks:t.shard_count (fun i ->
-        deliver_shard t t.shards.(i));
-    t.rounds <- t.rounds + 1;
-    resil_tick t
-
-  let run_rounds t ?(domains = 1) rounds =
-    for _ = 1 to rounds do
-      run_round t ~domains
-    done
-
-  (* Bit-for-bit world equality: the domain-count determinism oracle.
-     Covers the full store (ids, serials, anchors, born stamps, cached
-     degrees), the round clock, the alive map, the window state, and every
-     per-shard counter, threshold, free-list position, loss-chain state
-     and mint position. *)
-  let equal a b =
-    let free_equal x y =
-      x.free_len = y.free_len
-      &&
-      let same = ref true in
-      for k = 0 to x.free_len - 1 do
-        if
-          x.free.((x.free_head + k) mod Array.length x.free)
-          <> y.free.((y.free_head + k) mod Array.length y.free)
-        then same := false
-      done;
-      !same
-    in
-    a.n = b.n && a.capacity = b.capacity
-    && a.shard_count = b.shard_count
-    && a.rounds = b.rounds
-    && a.fault_transitions = b.fault_transitions
-    && a.window_active = b.window_active
-    && a.alive = b.alive
-    && Flat.equal a.store b.store
-    && Array.for_all2
-         (fun (x : shard) (y : shard) ->
-           x.minted = y.minted && x.sh_actions = y.sh_actions
-           && x.sh_self_loops = y.sh_self_loops
-           && x.sh_sends = y.sh_sends
-           && x.sh_duplications = y.sh_duplications
-           && x.sh_receipts = y.sh_receipts
-           && x.sh_deletions = y.sh_deletions
-           && x.sh_lost = y.sh_lost
-           && x.sh_burst_drops = y.sh_burst_drops
-           && x.sh_crash_drops = y.sh_crash_drops
-           && x.sh_partition_drops = y.sh_partition_drops
-           && x.sh_joins = y.sh_joins && x.sh_leaves = y.sh_leaves
-           && x.sh_join_skips = y.sh_join_skips
-           && x.sh_to_dead = y.sh_to_dead
-           && x.sh_accepted_dup = y.sh_accepted_dup
-           && x.sh_dropped_nondup = y.sh_dropped_nondup
-           && x.sh_edges_added = y.sh_edges_added
-           && x.sh_edges_removed = y.sh_edges_removed
-           && x.cfg_dl = y.cfg_dl && x.cfg_s = y.cfg_s
-           && x.live = y.live && free_equal x y
-           && (match (x.loss, y.loss) with
-              | None, None -> true
-              | Some lx, Some ly ->
-                Sf_faults.Loss.in_burst lx = Sf_faults.Loss.in_burst ly
-              | None, Some _ | Some _, None -> false))
-         a.shards b.shards
-end
+module Sharded = Sharded

@@ -46,16 +46,11 @@ type t = {
   loss_rate : float;
   rng : Sf_prng.Rng.t;
   nodes : node array;
-  mutable next_serial : int;
+  serials : View.minter;
   mutable actions : int;
   mutable sends : int;
   mutable losses : int;
 }
-
-let fresh_serial t =
-  let s = t.next_serial in
-  t.next_serial <- s + 1;
-  s
 
 (* Outdegree: unmarked entries only. *)
 let degree node =
@@ -82,7 +77,7 @@ let create ~seed ~n ~view_size ~lower_threshold ~loss_rate ~options ~topology =
               undeletions = 0;
               deletions = 0;
             });
-      next_serial = 0;
+      serials = { View.next = 0; stride = 1 };
       actions = 0;
       sends = 0;
       losses = 0;
@@ -96,7 +91,7 @@ let create ~seed ~n ~view_size ~lower_threshold ~loss_rate ~options ~topology =
           node.slots.(i) <-
             Some
               {
-                entry = { View.id = v; serial = fresh_serial t; anchor = None; born = 0 };
+                entry = { View.id = v; serial = View.mint t.serials; anchor = None; born = 0 };
                 marked = false;
               })
         (topology node.id))
@@ -204,7 +199,7 @@ let initiate t node =
         (* Duplication: the receiver gets anchored copies. *)
         List.map
           (fun (e : View.entry) ->
-            { e with View.serial = fresh_serial t; anchor = Some node.id })
+            { e with View.serial = View.mint t.serials; anchor = Some node.id })
           payload
       end
       else begin
@@ -222,7 +217,7 @@ let initiate t node =
     in
     let reinforcement =
       let anchor = if compensated then Some node.id else None in
-      { View.id = node.id; serial = fresh_serial t; anchor; born = t.actions }
+      { View.id = node.id; serial = View.mint t.serials; anchor; born = t.actions }
     in
     t.sends <- t.sends + 1;
     if Sf_prng.Rng.bernoulli t.rng t.loss_rate then t.losses <- t.losses + 1

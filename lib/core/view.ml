@@ -1,4 +1,4 @@
-(* A local view: a fixed array of [s] slots, each empty or holding one id
+(* Local views: fixed arrays of s slots, each empty or holding one id
    instance (section 2 of the paper).  Duplicate ids are allowed — the
    membership graph is a multigraph — and are accounted as dependencies.
 
@@ -8,17 +8,18 @@
      forwarded and fresh when an instance is created (reinforcement or
      duplication).  Instance decay (Lemma 6.9, Fig 6.4) and temporal
      independence (Property M5) are measured by following serials.
-   - [anchor]: [Some a] when the instance was created by a duplication at
-     node [a] and is therefore spatially dependent on [a]'s view (Property
-     M4).  Forwarding an instance without duplication clears the anchor,
-     matching the dependence MC of Fig 7.1.
-   - [born]: global action count at creation, for age statistics.
+   - [anchor]: the node whose view the instance depends on when it was
+     created by a duplication there (Property M4).  Forwarding an instance
+     without duplication clears the anchor, matching the dependence MC of
+     Fig 7.1.
+   - [born]: the creation clock, for age statistics.
 
-   Representation: four parallel unboxed int arrays (ids, serials, anchors,
-   born stamps) instead of the former [entry option array].  A slot is
-   empty when its id is -1; an anchor of -1 encodes [None].  Nothing is
-   boxed per entry, so a view of s slots is exactly four s-word arrays —
-   the same layout {!Flat} packs contiguously for whole worlds. *)
+   Representation: [Flat] packs the views of a whole world into four
+   contiguous unboxed int arrays (ids, serials, anchors, born stamps) plus
+   a cached degree per node; a slot is empty when its id is -1 and an
+   anchor of -1 encodes "none".  A single view is a one-node [Flat], so
+   the S&F step rule below — defined once, over this layout — serves the
+   per-node engines and the million-node engine alike. *)
 
 type entry = {
   id : int;
@@ -27,60 +28,15 @@ type entry = {
   born : int;
 }
 
-type t = {
-  ids : int array;      (* -1 = empty slot *)
-  serials : int array;
-  anchors : int array;  (* -1 = no anchor *)
-  born : int array;
-  mutable filled : int;  (* cached count of non-empty slots *)
-}
+(* Serial minting: [next], then [next + stride], ...  Engines that mint
+   concurrently (the shards of one world, the processes of one cluster)
+   use distinct offsets and a common stride, so serials never collide. *)
+type minter = { mutable next : int; stride : int }
 
-let create size =
-  if size < 2 then invalid_arg "View.create: size must be at least 2";
-  {
-    ids = Array.make size (-1);
-    serials = Array.make size 0;
-    anchors = Array.make size (-1);
-    born = Array.make size 0;
-    filled = 0;
-  }
-
-let size t = Array.length t.ids
-
-let degree t = t.filled
-(* d(u): the node's outdegree. *)
-
-let is_full t = t.filled = Array.length t.ids
-
-let id_at t i = t.ids.(i)
-
-let get t i =
-  let id = t.ids.(i) in
-  if id < 0 then None
-  else
-    Some
-      {
-        id;
-        serial = t.serials.(i);
-        anchor = (let a = t.anchors.(i) in if a < 0 then None else Some a);
-        born = t.born.(i);
-      }
-
-let set t i entry =
-  if entry.id < 0 then invalid_arg "View.set: negative id";
-  if t.ids.(i) < 0 then t.filled <- t.filled + 1;
-  t.ids.(i) <- entry.id;
-  t.serials.(i) <- entry.serial;
-  t.anchors.(i) <- (match entry.anchor with None -> -1 | Some a -> a);
-  t.born.(i) <- entry.born
-
-let clear t i =
-  if t.ids.(i) >= 0 then begin
-    t.ids.(i) <- -1;
-    t.filled <- t.filled - 1
-  end
-
-let free_slots t = Array.length t.ids - t.filled
+let mint m =
+  let s = m.next in
+  m.next <- s + m.stride;
+  s
 
 (* Index of the empty cell ([ids.(i) < 0]) that is the [remaining]-th
    (0-based) at or after [i]; the caller guarantees it exists.  Top-level,
@@ -90,53 +46,8 @@ let rec nth_empty ids i remaining =
   else if remaining = 0 then i
   else nth_empty ids (i + 1) (remaining - 1)
 
-(* Uniformly random empty slot; the receive step of S&F places ids in
-   uniformly chosen empty entries. *)
-let random_empty_slot t rng =
-  let free = free_slots t in
-  if free = 0 then None else Some (nth_empty t.ids 0 (Sf_prng.Rng.int rng free))
-
-let iter f t =
-  for i = 0 to Array.length t.ids - 1 do
-    match get t i with Some e -> f i e | None -> ()
-  done
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun _ e -> acc := f !acc e) t;
-  !acc
-
-let ids t = List.rev (fold (fun acc e -> e.id :: acc) [] t)
-
-let mem t id = fold (fun acc e -> acc || e.id = id) false t
-
-let count_id t id = fold (fun acc e -> if e.id = id then acc + 1 else acc) 0 t
-
-let entries t = List.rev (fold (fun acc e -> e :: acc) [] t)
-
-let clear_all t =
-  Array.fill t.ids 0 (Array.length t.ids) (-1);
-  t.filled <- 0
-
-let pp ppf t =
-  Fmt.pf ppf "[";
-  for i = 0 to size t - 1 do
-    if i > 0 then Fmt.pf ppf " ";
-    if t.ids.(i) < 0 then Fmt.pf ppf "." else Fmt.pf ppf "%d" t.ids.(i)
-  done;
-  Fmt.pf ppf "]"
-
-(* --- Packed whole-world views ---
-
-   The million-node simulation path (ROADMAP item 1) cannot afford one
-   heap object per node, let alone per entry.  [Flat] packs every view of
-   an n-node world into four contiguous unboxed int arrays of length
-   [n * view_size], indexed by [node * view_size + slot], plus a per-node
-   cached degree array.  The encoding matches the single-view layout
-   above: id -1 = empty slot, anchor -1 = no anchor. *)
-
 module Flat = struct
-  type store = {
+  type t = {
     nodes : int;
     view_size : int;
     f_ids : int array;      (* nodes * view_size; -1 = empty *)
@@ -145,8 +56,6 @@ module Flat = struct
     f_born : int array;
     degrees : int array;    (* per-node cached occupied-slot counts *)
   }
-
-  type t = store
 
   let create ~nodes ~view_size =
     if nodes < 1 then invalid_arg "View.Flat.create: need at least one node";
@@ -186,8 +95,10 @@ module Flat = struct
       t.degrees.(u) <- t.degrees.(u) - 1
     end
 
-  (* Uniformly random empty slot of node [u]; -1 when the view is full.
-     Same selection law as {!random_empty_slot}, and allocates nothing. *)
+  (* Uniformly random empty slot of node [u], -1 when the view is full:
+     one draw over the free-slot count, then a scan to that empty slot.
+     The receive step of S&F places ids in uniformly chosen empty
+     slots. *)
   let random_empty_slot t u rng =
     let free = t.view_size - t.degrees.(u) in
     if free = 0 then -1
@@ -196,8 +107,6 @@ module Flat = struct
       nth_empty t.f_ids base (Sf_prng.Rng.int rng free) - base
     end
 
-  (* Recount of the occupied slots — the audit cross-check for the cached
-     degree array. *)
   let recount_degree t u =
     let base = u * t.view_size in
     let occupied = ref 0 in
@@ -212,4 +121,170 @@ module Flat = struct
     a.nodes = b.nodes && a.view_size = b.view_size && a.f_ids = b.f_ids
     && a.f_serials = b.f_serials && a.f_anchors = b.f_anchors
     && a.f_born = b.f_born && a.degrees = b.degrees
+
+  (* --- The S&F step rule (Figure 5.1) ---
+
+     Defined once, here, for every engine.  It lives in the compilation
+     unit that owns the layout because dune's dev profile compiles with
+     [-opaque]: no call into another unit is inlined, and the slot
+     accessors above sit on the million-node hot path. *)
+
+  type packet = {
+    mutable dst : int;
+    mutable dup : bool;
+    mutable src : int;
+    mutable r_serial : int;
+    mutable r_anchor : int;
+    mutable r_born : int;
+    mutable m_id : int;
+    mutable m_serial : int;
+    mutable m_anchor : int;
+    mutable m_born : int;
+  }
+
+  let packet () =
+    {
+      dst = -1;
+      dup = false;
+      src = -1;
+      r_serial = 0;
+      r_anchor = -1;
+      r_born = 0;
+      m_id = -1;
+      m_serial = 0;
+      m_anchor = -1;
+      m_born = 0;
+    }
+
+  (* Initiate at u: select two distinct slots uniformly over the
+     allocated view — a retuned node's live s may sit below it, and
+     entries parked in high slots must stay reachable.  An empty slot
+     makes the action a self-loop.  Otherwise [u, w] goes to v (the ids
+     in the two slots) and both slots are cleared, unless d(u) <= dL:
+     then they are duplicated, and the receiver gets fresh copies
+     anchored at the sender, whose own copies stay behind.  The
+     reinforcement is always a fresh instance of the sender's id; it is
+     minted before the duplicated copy. *)
+  let initiate t u ~self rng ~dl ~serials ~born p =
+    let s = t.view_size in
+    let i = Sf_prng.Rng.int rng s in
+    let j = Sf_prng.Rng.int_except rng s i in
+    let base = u * s in
+    let target = t.f_ids.(base + i) and forwarded = t.f_ids.(base + j) in
+    if target < 0 || forwarded < 0 then false
+    else begin
+      let dup = t.degrees.(u) <= dl in
+      p.dst <- target;
+      p.dup <- dup;
+      p.src <- self;
+      p.r_serial <- mint serials;
+      p.r_born <- born;
+      p.m_id <- forwarded;
+      if dup then begin
+        p.r_anchor <- self;
+        p.m_serial <- mint serials;
+        p.m_anchor <- self;
+        p.m_born <- born
+      end
+      else begin
+        (* Forwarded without duplication: the instance moves with its
+           serial and birth, and becomes independent (Fig 7.1). *)
+        p.r_anchor <- -1;
+        p.m_serial <- t.f_serials.(base + j);
+        p.m_anchor <- -1;
+        p.m_born <- t.f_born.(base + j);
+        clear t u i;
+        clear t u j
+      end;
+      true
+    end
+
+  (* Receive at v: place both ids in uniformly chosen empty slots when
+     the live s leaves room for two (s - d >= 2, so the outdegree never
+     passes s); otherwise delete both.  An [s] above the allocation
+     counts as the allocation. *)
+  let receive t v rng ~s p =
+    let s = if s < t.view_size then s else t.view_size in
+    if s - t.degrees.(v) < 2 then false
+    else begin
+      let slot = random_empty_slot t v rng in
+      set t v slot ~id:p.src ~serial:p.r_serial ~anchor:p.r_anchor ~born:p.r_born;
+      let slot = random_empty_slot t v rng in
+      set t v slot ~id:p.m_id ~serial:p.m_serial ~anchor:p.m_anchor ~born:p.m_born;
+      true
+    end
 end
+
+(* --- A single view: a one-node [Flat] ---
+
+   Node 0's slot [i] is cell [i] of each array, so the accessors below
+   index the arrays directly. *)
+
+type t = Flat.t
+
+let create size =
+  if size < 2 then invalid_arg "View.create: size must be at least 2";
+  Flat.create ~nodes:1 ~view_size:size
+
+let size (t : t) = t.view_size
+let degree (t : t) = t.degrees.(0)
+let is_full t = degree t = size t
+let free_slots t = size t - degree t
+let id_at (t : t) i = t.f_ids.(i)
+
+let get (t : t) i =
+  let id = t.f_ids.(i) in
+  if id < 0 then None
+  else
+    let a = t.f_anchors.(i) in
+    Some
+      {
+        id;
+        serial = t.f_serials.(i);
+        anchor = (if a < 0 then None else Some a);
+        born = t.f_born.(i);
+      }
+
+let set t i entry =
+  if entry.id < 0 then invalid_arg "View.set: negative id";
+  Flat.set t 0 i ~id:entry.id ~serial:entry.serial
+    ~anchor:(match entry.anchor with None -> -1 | Some a -> a)
+    ~born:entry.born
+
+let clear t i = Flat.clear t 0 i
+
+let clear_all t =
+  for i = 0 to size t - 1 do
+    clear t i
+  done
+
+let random_empty_slot t rng =
+  let slot = Flat.random_empty_slot t 0 rng in
+  if slot < 0 then None else Some slot
+
+let iter f t =
+  for i = 0 to size t - 1 do
+    match get t i with Some e -> f i e | None -> ()
+  done
+
+let fold f init t =
+  let acc = ref init in
+  iter (fun _ e -> acc := f !acc e) t;
+  !acc
+
+let ids t = List.rev (fold (fun acc e -> e.id :: acc) [] t)
+
+let mem t id = fold (fun acc e -> acc || e.id = id) false t
+
+let count_id t id = fold (fun acc e -> if e.id = id then acc + 1 else acc) 0 t
+
+let entries t = List.rev (fold (fun acc e -> e :: acc) [] t)
+
+let pp ppf t =
+  Fmt.pf ppf "[";
+  for i = 0 to size t - 1 do
+    if i > 0 then Fmt.pf ppf " ";
+    let id = id_at t i in
+    if id < 0 then Fmt.pf ppf "." else Fmt.pf ppf "%d" id
+  done;
+  Fmt.pf ppf "]"

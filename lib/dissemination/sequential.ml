@@ -15,8 +15,8 @@
    Determinism contract: the Push path reproduces the draw order of the
    historical [Dissemination.spread] exactly (same infected-table
    construction, one [sample_many] per informed node, one loss draw per
-   push), so the compat shim replays it byte-for-byte on scenario-free
-   runners. *)
+   push), so under i.i.d. loss it replays that spread byte-for-byte on
+   scenario-free runners (test_spread.ml pins it). *)
 
 module Runner = Sf_core.Runner
 module Sampling = Sf_core.Sampling

@@ -98,12 +98,6 @@ let transitions t =
   t.pending <- [];
   drained
 
-(* Partition block of an id: contiguous blocks of the initial id space;
-   joiner ids beyond it wrap by [id mod n]. *)
-let block t ~parts id =
-  let id = ((id mod t.n) + t.n) mod t.n in
-  min (parts - 1) (id * parts / t.n)
-
 let is_crashed t id =
   refresh t;
   Array.exists
@@ -136,7 +130,8 @@ let partitioned t ~src ~dst =
       &&
       match ws.window.Scenario.fault with
       | Scenario.Partition { parts } ->
-        src >= 0 && block t ~parts src <> block t ~parts dst
+        src >= 0
+        && Scenario.block ~n:t.n ~parts src <> Scenario.block ~n:t.n ~parts dst
       | Scenario.Crash _ | Scenario.Delay _ | Scenario.Corrupt _ -> false)
     t.windows
 

@@ -15,6 +15,12 @@ type t = { loss : Loss.model; windows : window list }
 
 let default = { loss = Loss.Iid; windows = [] }
 
+(* Partition block of an id: contiguous blocks of the initial id space
+   [0, n); other ids (joiners, and negative ids) wrap into it mod n. *)
+let block ~n ~parts id =
+  let id = ((id mod n) + n) mod n in
+  min (parts - 1) (id * parts / n)
+
 let validate_window w =
   if w.start < 0. || Float.is_nan w.start then
     invalid_arg (Fmt.str "Scenario: window start %g negative" w.start);

@@ -2,7 +2,7 @@
 
     A scenario is a loss process plus a list of timed fault windows.  The
     same value drives both the discrete-event simulator
-    ({!Sf_core.Runner}) and the real UDP cluster ({!Sf_net.Cluster}), so a
+    ({!Sf_core.Runner}) and the real UDP cluster ({!Sf_net.Driver}), so a
     fault experiment validated in simulation replays unchanged on real
     sockets.
 
@@ -42,6 +42,12 @@ type fault =
   | Crash of { first : int; last : int }  (** freeze node ids in [first..last] *)
   | Delay of { factor : float }           (** latency multiplier, > 0 *)
   | Corrupt of { rate : float }           (** per-message corruption probability *)
+
+val block : n:int -> parts:int -> int -> int
+(** [block ~n ~parts id]: the partition block, in [[0, parts)], of [id]
+    in an [n]-node world — contiguous blocks of [[0, n)], every other id
+    (joiners, negative ids) first wrapped into it mod [n].  Every engine
+    judges partition windows by this one rule. *)
 
 type window = { start : float; stop : float; fault : fault }
 (** Half-open activity interval [[start, stop)] in rounds. *)

@@ -5,8 +5,8 @@
    a real network stack instead of the discrete-event simulator.
 
    One driver owns a contiguous *slice* [first, first + count) of a global
-   id space of [n] nodes.  The historical single-process deployment
-   ({!Cluster}) is the whole-space slice; a node-host process
+   id space of [n] nodes.  The single-process deployment is the
+   whole-space slice; a node-host process
    ({!Nodehost}) owns one slice while sibling processes own the others,
    all sharing the same port map — the address of node [i] is
    [base_port + i] no matter which process computes it, so datagrams cross
@@ -42,17 +42,6 @@
    eight 7-byte datagrams per silent peer over the run. *)
 let hello_cap = 8
 
-(* Per-node resilience state (lib/resilience): each node runs its own loss
-   estimator over its own protocol counters — a deployed node has nobody
-   else's — and its own threshold controller. *)
-type node_resil = {
-  estimator : Sf_resil.Estimator.t;
-  controller : Sf_resil.Controller.t;
-  mutable last_sent : int;  (* counter baselines for estimator deltas *)
-  mutable last_duplications : int;
-  mutable last_deletions : int;
-}
-
 type node_state = {
   node : Sf_core.Protocol.node;
   (* Mutable: a crash-restart closes the socket for the duration of the
@@ -62,7 +51,10 @@ type node_state = {
   (* The node's current thresholds; starts at the cluster config and
      diverges under adaptive retuning. *)
   mutable config : Sf_core.Protocol.config;
-  resil : node_resil option;
+  (* Per-node resilience feed (lib/resilience): each node runs its own
+     loss estimator over its own protocol counters — a deployed node has
+     nobody else's — and its own threshold controller. *)
+  resil : Sf_resil.Feed.t option;
   (* Crash-restart bookkeeping (resilience mode only). *)
   mutable down : bool;       (* socket closed by an active crash window *)
   mutable snapshot : int list;  (* bounded view snapshot taken at crash *)
@@ -101,11 +93,6 @@ type t = {
   version : int;   (* wire ceiling: 1 = historical, 2 = batching + hellos *)
   period : float;
   loss_rate : float;
-  (* Global serials are minted as [k * stride + offset]: sibling processes
-     use stride = process count and distinct offsets, so concurrently
-     minted serials never collide across the cluster. *)
-  serial_stride : int;
-  serial_offset : int;
   (* Injected clock: tests drive virtual time; production uses
      [Sf_obs.Clock.wall] — the tree's single sanctioned wall-clock
      source. *)
@@ -174,31 +161,29 @@ type t = {
   (* Whole initiate-action latency (protocol step + encode + sendto). *)
   action_span : Sf_obs.Span.t;
   mutable delayed : delayed_datagram list;
-  mutable next_serial : int;
+  (* Global serials start at the offset and step by the stride: sibling
+     processes use stride = process count and distinct offsets, so
+     concurrently minted serials never collide across the cluster. *)
+  serials : Sf_core.View.minter;
   mutable actions : int;
 }
 
 let address_of t node_id =
   Unix.ADDR_INET (Unix.inet_addr_loopback, t.base_port + node_id)
 
-let fresh_serial t =
-  let s = t.next_serial in
-  t.next_serial <- s + 1;
-  (s * t.serial_stride) + t.serial_offset
-
 let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilience
     ?(version = 1) ?(first = 0) ?count ?(serial_stride = 1) ?(serial_offset = 0)
     ~base_port ~n ~config ~loss_rate ~seed ~topology () =
   let count = match count with Some c -> c | None -> n - first in
-  if n <= 0 then invalid_arg "Cluster.create: need at least one node";
+  if n <= 0 then invalid_arg "Driver.create: need at least one node";
   if base_port < 1024 || base_port + n > 65_535 then
-    invalid_arg "Cluster.create: port range out of bounds";
+    invalid_arg "Driver.create: port range out of bounds";
   if first < 0 || count < 1 || first + count > n then
-    invalid_arg "Cluster.create: owned slice outside the id space";
+    invalid_arg "Driver.create: owned slice outside the id space";
   if version < 1 || version > 2 then
-    invalid_arg "Cluster.create: unknown wire version";
+    invalid_arg "Driver.create: unknown wire version";
   if serial_stride < 1 || serial_offset < 0 || serial_offset >= serial_stride
-  then invalid_arg "Cluster.create: bad serial striding";
+  then invalid_arg "Driver.create: bad serial striding";
   let rng = Sf_prng.Rng.create seed in
   let obs = match obs with Some o -> o | None -> Sf_obs.Obs.create () in
   let metrics = Sf_obs.Obs.metrics obs in
@@ -227,8 +212,6 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       version;
       period;
       loss_rate;
-      serial_stride;
-      serial_offset;
       now;
       started = start;
       rng;
@@ -279,7 +262,7 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       action_span =
         Sf_obs.Span.create ~clock:now metrics "cluster_action_seconds";
       delayed = [];
-      next_serial = 0;
+      serials = { Sf_core.View.next = serial_offset; stride = serial_stride };
       actions = 0;
     }
   in
@@ -301,10 +284,10 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
     List.iter
       (fun v ->
         match Sf_core.View.random_empty_slot node.Sf_core.Protocol.view rng with
-        | None -> invalid_arg "Cluster.create: topology exceeds view size"
+        | None -> invalid_arg "Driver.create: topology exceeds view size"
         | Some slot ->
           Sf_core.View.set node.Sf_core.Protocol.view slot
-            { Sf_core.View.id = v; serial = fresh_serial t; anchor = None; born = 0 })
+            { Sf_core.View.id = v; serial = Sf_core.View.mint t.serials; anchor = None; born = 0 })
       (topology node_id);
     {
       node;
@@ -315,18 +298,11 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       resil =
         Option.map
           (fun policy ->
-            {
-              estimator = Sf_resil.Policy.estimator policy;
-              controller =
-                Sf_resil.Policy.controller policy
-                  ~initial:
-                    ( config.Sf_core.Protocol.lower_threshold,
-                      config.Sf_core.Protocol.view_size )
-                  ~capacity:config.Sf_core.Protocol.view_size;
-              last_sent = 0;
-              last_duplications = 0;
-              last_deletions = 0;
-            })
+            Sf_resil.Feed.create policy
+              ~initial:
+                ( config.Sf_core.Protocol.lower_threshold,
+                  config.Sf_core.Protocol.view_size )
+              ~capacity:config.Sf_core.Protocol.view_size)
           resilience;
       down = false;
       snapshot = [];
@@ -351,21 +327,18 @@ let add_periodic t ~every callback =
 
 let set_partition_filter t ~parts =
   (match parts with
-  | Some p when p < 2 -> invalid_arg "Cluster.set_partition_filter: parts < 2"
+  | Some p when p < 2 -> invalid_arg "Driver.set_partition_filter: parts < 2"
   | _ -> ());
   t.filter_parts <- parts
 
-(* The injector's partition arithmetic, applied locally: every process
-   computes the same block for the same id, so the drop decision is
-   consistent cluster-wide without coordination. *)
+(* The injector's partition rule, applied locally: every process computes
+   the same block for the same id, so the drop decision is consistent
+   cluster-wide without coordination. *)
 let filtered t ~src ~dst =
   match t.filter_parts with
   | None -> false
   | Some parts ->
-    let block id =
-      let id = ((id mod t.n_global) + t.n_global) mod t.n_global in
-      min (parts - 1) (id * parts / t.n_global)
-    in
+    let block = Sf_faults.Scenario.block ~n:t.n_global ~parts in
     block src <> block dst
 
 let shutdown t =
@@ -528,52 +501,27 @@ let enqueue_frame t (ns : node_state) ~destination ~message ~corrupt =
   q.batched <- q.batched + 1;
   if q.batched >= Codec.max_batch then flush_destination t destination q
 
-(* Clamp a controller target (dL, s) to this node: s never drops below the
-   current outdegree (nothing is evicted; the receive rule stops accepting
-   until decay catches up) nor rises above the allocated view, and dL must
-   stay a valid even value in [0, s - 6]. *)
-let clamped_config ~capacity ~degree (dl, s) =
-  let even_up x = if x land 1 = 0 then x else x + 1 in
-  let s = min capacity (max s (max 6 (even_up degree))) in
-  let dl = max 0 (min dl (s - 6)) in
-  let dl = if dl land 1 = 0 then dl else dl - 1 in
-  Sf_core.Protocol.make_config ~view_size:s ~lower_threshold:dl
-
 (* Per-node resilience tick, run after each initiation: feed the node's
-   estimator from its own counters, and let its controller walk (dL, s)
-   toward the section 6.3 solution for the estimated loss.  The
+   counters, and apply a controller decision clamped to this node.  The
    controller's cooldown is counted in these ticks, i.e. in firings. *)
 let resil_tick t (ns : node_state) =
-  match ns.resil with
+  let node = ns.node in
+  match
+    Option.bind ns.resil (fun feed ->
+        Sf_resil.Feed.tick feed ~sends:node.Sf_core.Protocol.messages_sent
+          ~duplications:node.Sf_core.Protocol.duplications
+          ~deletions:node.Sf_core.Protocol.deletions ())
+  with
   | None -> ()
-  | Some nr ->
-    let node = ns.node in
-    let sent = node.Sf_core.Protocol.messages_sent in
-    let dups = node.Sf_core.Protocol.duplications in
-    let dels = node.Sf_core.Protocol.deletions in
-    Sf_resil.Estimator.observe nr.estimator ~sends:(sent - nr.last_sent)
-      ~duplications:(dups - nr.last_duplications)
-      ~deletions:(dels - nr.last_deletions) ();
-    nr.last_sent <- sent;
-    nr.last_duplications <- dups;
-    nr.last_deletions <- dels;
-    match t.resilience with
-    | Some policy
-      when policy.Sf_resil.Policy.retune
-           && Sf_resil.Estimator.confident nr.estimator -> (
-      match
-        Sf_resil.Controller.decide nr.controller
-          ~loss:(Sf_resil.Estimator.estimate nr.estimator)
-      with
-      | None -> ()
-      | Some pair ->
-        ns.config <-
-          clamped_config
-            ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
-            ~degree:(Sf_core.Protocol.degree node) pair;
-        Sf_obs.Metrics.incr t.c_retunes;
-        trace t (Sf_obs.Trace.Mark { label = "retune" }))
-    | _ -> ()
+  | Some pair ->
+    let dl, s =
+      Sf_resil.Feed.clamped_config
+        ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
+        ~degree:(Sf_core.Protocol.degree node) pair
+    in
+    ns.config <- Sf_core.Protocol.make_config ~view_size:s ~lower_threshold:dl;
+    Sf_obs.Metrics.incr t.c_retunes;
+    trace t (Sf_obs.Trace.Mark { label = "retune" })
 
 (* One initiate step at [ns]; the message goes out as a datagram (or joins
    a batch) unless the loss draw — or an active fault window, or the
@@ -582,7 +530,7 @@ let fire_inner t ns =
   t.actions <- t.actions + 1;
   trace t (Sf_obs.Trace.Timer { node = ns.node.Sf_core.Protocol.node_id });
   match
-    Sf_core.Protocol.initiate ns.config t.rng ~fresh_serial:(fun () -> fresh_serial t)
+    Sf_core.Protocol.initiate ns.config t.rng ~serials:t.serials
       ~clock:t.actions ns.node
   with
   | Sf_core.Protocol.Self_loop -> ()
@@ -783,7 +731,7 @@ let install_ids t (ns : node_state) ids =
   List.iteri
     (fun slot id ->
       Sf_core.View.set view slot
-        { Sf_core.View.id; serial = fresh_serial t; anchor = None; born = t.actions })
+        { Sf_core.View.id; serial = Sf_core.View.mint t.serials; anchor = None; born = t.actions })
     ids
 
 let rejoin t (ns : node_state) =

@@ -4,9 +4,9 @@
 
     A driver owns a contiguous slice [first, first + count) of a global id
     space of [n] nodes, all sharing one port map (node [i] lives at
-    [base_port + i] in whichever process owns it).  {!Cluster} is the
-    whole-space slice in one process — the historical deployment —
-    and {!Nodehost} wraps a slice in a controllable process of its own.
+    [base_port + i] in whichever process owns it).  The whole-space slice
+    ([first = 0], the default) is the single-process deployment, and
+    {!Nodehost} wraps a slice in a controllable process of its own.
 
     Intended for moderate slice sizes (select(2) limits a driver to a few
     hundred sockets per process); a multi-process cluster composes slices

@@ -232,8 +232,8 @@ let test_real_sources () =
   check_quiet "lib/core/view.ml" ~path:"lib/core/view.ml" view;
   (* Since the ?now default moved to Sf_obs.Clock.wall, the cluster driver
      is clock-clean without any allowlist entry. *)
-  let cluster = read "../lib/net/cluster.ml" in
-  check_quiet "lib/net/cluster.ml" ~path:"lib/net/cluster.ml" cluster;
+  let driver = read "../lib/net/driver.ml" in
+  check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" driver;
   (* The one sanctioned wall-clock site really holds a wall clock (the same
      source fires under any other path) — and really is exempt. *)
   let clock = read "../lib/obs/clock.ml" in

@@ -2,7 +2,7 @@
    cluster driver. *)
 
 module Codec = Sf_net.Codec
-module Cluster = Sf_net.Cluster
+module Driver = Sf_net.Driver
 module View = Sf_core.View
 module Protocol = Sf_core.Protocol
 
@@ -73,52 +73,52 @@ let prop_codec_roundtrip =
       | Ok decoded -> decoded = m
       | Error _ -> false)
 
-(* --- Cluster --- *)
+(* --- Whole-space driver --- *)
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
 let make_cluster ?(n = 24) ?(loss = 0.) ~base_port () =
   let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
-  Cluster.create ~period:0.002 ~base_port ~n ~config ~loss_rate:loss ~seed:6 ~topology ()
+  Driver.create ~period:0.002 ~base_port ~n ~config ~loss_rate:loss ~seed:6 ~topology ()
 
 let test_cluster_runs_and_converges () =
   let c = make_cluster ~base_port:48100 () in
   Fun.protect
-    ~finally:(fun () -> Cluster.shutdown c)
+    ~finally:(fun () -> Driver.shutdown c)
     (fun () ->
-      Cluster.run c ~duration:1.5;
-      let stats = Cluster.statistics c in
-      Alcotest.(check bool) "actions happened" true (stats.Cluster.actions > 500);
-      Alcotest.(check bool) "datagrams flowed" true (stats.Cluster.datagrams_sent > 100);
-      Alcotest.(check int) "no decode errors" 0 stats.Cluster.decode_errors;
-      Alcotest.(check int) "no send errors" 0 stats.Cluster.send_errors;
+      Driver.run c ~duration:1.5;
+      let stats = Driver.statistics c in
+      Alcotest.(check bool) "actions happened" true (stats.Driver.actions > 500);
+      Alcotest.(check bool) "datagrams flowed" true (stats.Driver.datagrams_sent > 100);
+      Alcotest.(check int) "no decode errors" 0 stats.Driver.decode_errors;
+      Alcotest.(check int) "no send errors" 0 stats.Driver.send_errors;
       (* Without injected loss every sent datagram arrives on loopback. *)
       Alcotest.(check int) "conservation"
-        (stats.Cluster.datagrams_sent - stats.Cluster.datagrams_dropped)
-        stats.Cluster.datagrams_received;
-      Alcotest.(check bool) "connected" true (Cluster.is_weakly_connected c);
+        (stats.Driver.datagrams_sent - stats.Driver.datagrams_dropped)
+        stats.Driver.datagrams_received;
+      Alcotest.(check bool) "connected" true (Driver.is_weakly_connected c);
       (* Observation 5.1 holds over the real transport too. *)
-      let outs = Cluster.outdegree_summary c in
+      let outs = Driver.outdegree_summary c in
       Alcotest.(check bool) "degrees bounded" true
         (Sf_stats.Summary.min_value outs >= 0. && Sf_stats.Summary.max_value outs <= 12.))
 
 let test_cluster_injected_loss_rate () =
   let c = make_cluster ~n:32 ~loss:0.2 ~base_port:48200 () in
   Fun.protect
-    ~finally:(fun () -> Cluster.shutdown c)
+    ~finally:(fun () -> Driver.shutdown c)
     (fun () ->
-      Cluster.run c ~duration:1.5;
-      let stats = Cluster.statistics c in
+      Driver.run c ~duration:1.5;
+      let stats = Driver.statistics c in
       let observed =
-        float_of_int stats.Cluster.datagrams_dropped
-        /. float_of_int (max 1 stats.Cluster.datagrams_sent)
+        float_of_int stats.Driver.datagrams_dropped
+        /. float_of_int (max 1 stats.Driver.datagrams_sent)
       in
       Alcotest.(check bool)
         (Printf.sprintf "observed loss %.3f near 0.2" observed)
         true
         (Float.abs (observed -. 0.2) < 0.05);
       (* Duplication compensates: degrees stay at/above dL. *)
-      let outs = Cluster.outdegree_summary c in
+      let outs = Driver.outdegree_summary c in
       Alcotest.(check bool) "degrees survive loss" true
         (Sf_stats.Summary.mean outs >= 4.))
 
@@ -142,16 +142,16 @@ let test_cluster_survives_signals () =
     (fun () ->
       let c = make_cluster ~base_port:48300 () in
       Fun.protect
-        ~finally:(fun () -> Cluster.shutdown c)
+        ~finally:(fun () -> Driver.shutdown c)
         (fun () ->
-          Cluster.run c ~duration:1.0;
+          Driver.run c ~duration:1.0;
           Alcotest.(check bool)
             (Printf.sprintf "signals actually fired (%d)" !fired)
             true (!fired > 10);
-          let stats = Cluster.statistics c in
+          let stats = Driver.statistics c in
           Alcotest.(check bool) "the run kept making progress" true
-            (stats.Cluster.actions > 200);
-          Alcotest.(check int) "no decode errors" 0 stats.Cluster.decode_errors))
+            (stats.Driver.actions > 200);
+          Alcotest.(check int) "no decode errors" 0 stats.Driver.decode_errors))
 
 (* Crash-restart with state recovery: under a resilience policy a crash
    window really closes the victim's socket, and leaving the window
@@ -172,24 +172,24 @@ let test_cluster_crash_rebind () =
   let n = 24 in
   let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
   let c =
-    Cluster.create ~period:0.002 ~scenario ~resilience:policy ~base_port:48350 ~n
+    Driver.create ~period:0.002 ~scenario ~resilience:policy ~base_port:48350 ~n
       ~config ~loss_rate:0. ~seed:6 ~topology ()
   in
   Fun.protect
-    ~finally:(fun () -> Cluster.shutdown c)
+    ~finally:(fun () -> Driver.shutdown c)
     (fun () ->
       (* period 2 ms: the crash window spans 0.2 s - 0.4 s of a 1.2 s run,
          so every victim crashes and rejoins well before the end. *)
-      Cluster.run c ~duration:1.2;
-      let stats = Cluster.statistics c in
+      Driver.run c ~duration:1.2;
+      let stats = Driver.statistics c in
       Alcotest.(check bool)
-        (Printf.sprintf "rejoins counted (%d)" stats.Cluster.rejoins)
+        (Printf.sprintf "rejoins counted (%d)" stats.Driver.rejoins)
         true
-        (stats.Cluster.rejoins >= 1);
+        (stats.Driver.rejoins >= 1);
       Alcotest.(check int) "nothing stayed crashed" 0
         (Seq.fold_left
-           (fun acc (id, _) -> if Cluster.is_crashed c id then acc + 1 else acc)
-           0 (Cluster.views c));
+           (fun acc (id, _) -> if Driver.is_crashed c id then acc + 1 else acc)
+           0 (Driver.views c));
       (* Every view — including the rejoined victims' — is structurally
          sound, inside M1 bounds and even (Observation 5.1). *)
       Seq.iter
@@ -203,7 +203,7 @@ let test_cluster_crash_rebind () =
             (Printf.sprintf "node %d outdegree %d within [0, 12] and even" id d)
             true
             (d >= 0 && d <= 12 && d mod 2 = 0))
-        (Cluster.views c);
+        (Driver.views c);
       (* The victims rejoined with usable views. *)
       Seq.iter
         (fun (id, view) ->
@@ -211,7 +211,7 @@ let test_cluster_crash_rebind () =
             Alcotest.(check bool)
               (Printf.sprintf "victim %d has a non-empty view" id)
               true (View.degree view > 0))
-        (Cluster.views c))
+        (Driver.views c))
 
 (* --- Codec v2 --- *)
 
@@ -358,8 +358,6 @@ let test_recv_buffer_size () =
     (Codec.message_size < Codec.recv_buffer_size)
 
 (* --- Driver slices and v2 interop --- *)
-
-module Driver = Sf_net.Driver
 
 let make_slice ?(version = 2) ?(n = 16) ?(count = 8) ~first ~base_port () =
   let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
@@ -557,7 +555,7 @@ let test_cluster_port_validation () =
     (match make_cluster ~base_port:80 () with
     | exception Invalid_argument _ -> true
     | c ->
-      Cluster.shutdown c;
+      Driver.shutdown c;
       false)
 
 let suite =

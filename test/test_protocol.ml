@@ -98,15 +98,11 @@ let make_node ?(view_size = 8) ?(lower_threshold = 2) ids =
   List.iteri (fun i id -> View.set node.Protocol.view i (entry ~serial:(1000 + i) id)) ids;
   (config, node)
 
-let serial_counter () =
-  let c = ref 10_000 in
-  fun () ->
-    incr c;
-    !c
+let serial_counter () = { View.next = 10_001; stride = 1 }
 
 let run_initiate config node =
   let rng = Sf_prng.Rng.create 5 in
-  Protocol.initiate config rng ~fresh_serial:(serial_counter ()) ~clock:0 node
+  Protocol.initiate config rng ~serials:(serial_counter ()) ~clock:0 node
 
 let test_initiate_empty_view_is_self_loop () =
   let config, node = make_node [] in
@@ -126,7 +122,7 @@ let test_initiate_sparse_view_can_self_loop () =
     View.clear_all node.Protocol.view;
     View.set node.Protocol.view 0 (entry 1);
     View.set node.Protocol.view 1 (entry 2);
-    match Protocol.initiate config rng ~fresh_serial:fresh ~clock:0 node with
+    match Protocol.initiate config rng ~serials:fresh ~clock:0 node with
     | Protocol.Self_loop -> incr self_loops
     | Protocol.Send _ -> incr sends
   done;
@@ -174,7 +170,7 @@ let test_fig_5_2_duplication () =
   let rec attempt k =
     if k = 0 then Alcotest.fail "no send in 1000 tries"
     else
-      match Protocol.initiate config rng ~fresh_serial:fresh ~clock:0 sender with
+      match Protocol.initiate config rng ~serials:fresh ~clock:0 sender with
       | Protocol.Self_loop -> attempt (k - 1)
       | Protocol.Send { message; duplicated; _ } ->
         Alcotest.(check bool) "duplicated at threshold" true duplicated;
@@ -227,12 +223,11 @@ let prop_degree_parity_invariant =
             View.set node.Protocol.view 1 (entry ((node_id + 2) mod 5));
             node)
       in
-      let serial = ref 0 in
-      let fresh () = incr serial; !serial in
+      let fresh = { View.next = 1; stride = 1 } in
       let ok = ref true in
       for clock = 1 to 500 do
         let u = nodes.(Sf_prng.Rng.int rng 5) in
-        (match Protocol.initiate config rng ~fresh_serial:fresh ~clock u with
+        (match Protocol.initiate config rng ~serials:fresh ~clock u with
         | Protocol.Self_loop -> ()
         | Protocol.Send { destination; message; _ } ->
           (* Deliver unconditionally (loss handled elsewhere). *)
@@ -258,6 +253,138 @@ let test_instance_conservation_without_loss () =
   | Protocol.Self_loop -> Alcotest.fail "expected send");
   Alcotest.(check int) "instances conserved" before (total ())
 
+(* A retuned s below the allocation bounds acceptance: at degree 5 under
+   s = 6 there is no room for two more ids, so the message is deleted and
+   the outdegree stays within s (Observation 5.1). *)
+let test_receive_respects_retuned_s () =
+  let _, receiver = make_node ~view_size:16 [ 1; 2; 3; 4; 5 ] in
+  let retuned = Protocol.make_config ~view_size:6 ~lower_threshold:0 in
+  let rng = Sf_prng.Rng.create 12 in
+  let message = { Protocol.reinforcement = entry 50; mixing = entry 51 } in
+  (match Protocol.receive retuned rng receiver message with
+  | Protocol.Deleted -> ()
+  | Protocol.Accepted -> Alcotest.fail "no room for two ids under s = 6");
+  Alcotest.(check int) "degree unchanged" 5 (Protocol.degree receiver)
+
+(* --- One step rule: Protocol on a view vs View.Flat on a shared store ---
+
+   The same initiate/receive pair run twice from equal seeds: through the
+   Protocol adapters on two single views, and through View.Flat directly
+   on nodes 3 (sender) and 1 (receiver) of a five-node store whose other
+   rows hold unrelated instances.  Slot contents, serials, anchors, born
+   stamps, outcomes, mint positions and RNG streams must agree, and the
+   other rows must not move. *)
+
+module Flat = View.Flat
+
+let alloc = 16
+let store_nodes = 5
+let sender_row = 3
+let receiver_row = 1
+let sender_id = 42
+
+(* [k] random slots of row [w] get random instances. *)
+let fill rng store w ~k =
+  Array.iter
+    (fun slot ->
+      let anchor = if Sf_prng.Rng.bool rng then Sf_prng.Rng.int rng 100 else -1 in
+      Flat.set store w slot ~id:(Sf_prng.Rng.int rng 100)
+        ~serial:(Sf_prng.Rng.int rng 1000) ~anchor ~born:(Sf_prng.Rng.int rng 50))
+    (Sf_prng.Rng.sample_indices rng ~n:alloc ~k)
+
+let row_equal a ua b ub =
+  Flat.degree a ua = Flat.degree b ub
+  && List.for_all
+       (fun slot ->
+         Flat.id_at a ua slot = Flat.id_at b ub slot
+         && Flat.serial_at a ua slot = Flat.serial_at b ub slot
+         && Flat.anchor_at a ua slot = Flat.anchor_at b ub slot
+         && Flat.born_at a ua slot = Flat.born_at b ub slot)
+       (List.init alloc Fun.id)
+
+(* The world both paths start from: a five-node store and, for the
+   Protocol path, two nodes whose views copy its sender and receiver rows. *)
+let world seed ~sender_degree ~receiver_degree =
+  let rng = Sf_prng.Rng.create seed in
+  let store = Flat.create ~nodes:store_nodes ~view_size:alloc in
+  for w = 0 to store_nodes - 1 do
+    let k =
+      if w = sender_row then sender_degree
+      else if w = receiver_row then receiver_degree
+      else Sf_prng.Rng.int rng (alloc + 1)
+    in
+    fill rng store w ~k
+  done;
+  let base = Protocol.make_config ~view_size:alloc ~lower_threshold:0 in
+  let node_of row node_id =
+    let node = Protocol.create_node ~config:base ~node_id in
+    for slot = 0 to alloc - 1 do
+      let id = Flat.id_at store row slot in
+      if id >= 0 then
+        Flat.set node.Protocol.view 0 slot ~id
+          ~serial:(Flat.serial_at store row slot)
+          ~anchor:(Flat.anchor_at store row slot)
+          ~born:(Flat.born_at store row slot)
+    done;
+    node
+  in
+  (store, node_of sender_row sender_id, node_of receiver_row 7)
+
+let check_step_rule ~sender_degree ~receiver_degree ~dl ~s =
+  let config = Protocol.make_config ~view_size:s ~lower_threshold:dl in
+  for seed = 1 to 200 do
+    let store, sender, receiver = world seed ~sender_degree ~receiver_degree in
+    let untouched, _, _ = world seed ~sender_degree ~receiver_degree in
+    let rng_a = Sf_prng.Rng.create (seed + 1000)
+    and rng_b = Sf_prng.Rng.create (seed + 1000) in
+    let serials_a = { View.next = 5000; stride = 3 }
+    and serials_b = { View.next = 5000; stride = 3 } in
+    let outcome_a =
+      match Protocol.initiate config rng_a ~serials:serials_a ~clock:77 sender with
+      | Protocol.Self_loop -> None
+      | Protocol.Send { destination; message; duplicated } ->
+        let accepted = Protocol.receive config rng_a receiver message = Protocol.Accepted in
+        Some (destination, duplicated, accepted)
+    in
+    let p = Flat.packet () in
+    let outcome_b =
+      if
+        Flat.initiate store sender_row ~self:sender_id rng_b ~dl ~serials:serials_b
+          ~born:77 p
+      then Some (p.Flat.dst, p.Flat.dup, Flat.receive store receiver_row rng_b ~s p)
+      else None
+    in
+    let ctx what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check (option (triple int bool bool))) (ctx "outcome") outcome_a outcome_b;
+    Alcotest.(check bool) (ctx "sender rows") true
+      (row_equal sender.Protocol.view 0 store sender_row);
+    Alcotest.(check bool) (ctx "receiver rows") true
+      (row_equal receiver.Protocol.view 0 store receiver_row);
+    Alcotest.(check int) (ctx "mint positions") serials_a.View.next serials_b.View.next;
+    Alcotest.(check int64) (ctx "RNG streams") (Sf_prng.Rng.next_int64 rng_a)
+      (Sf_prng.Rng.next_int64 rng_b);
+    for w = 0 to store_nodes - 1 do
+      if w <> sender_row && w <> receiver_row then
+        Alcotest.(check bool) (ctx "other rows untouched") true
+          (row_equal store w untouched w)
+    done
+  done
+
+let test_step_rule_empty_slots () =
+  check_step_rule ~sender_degree:6 ~receiver_degree:4 ~dl:2 ~s:alloc
+
+let test_step_rule_at_dl () =
+  check_step_rule ~sender_degree:6 ~receiver_degree:4 ~dl:6 ~s:alloc
+
+let test_step_rule_full_views () =
+  check_step_rule ~sender_degree:alloc ~receiver_degree:alloc ~dl:4 ~s:alloc
+
+let test_step_rule_retuned_s () =
+  List.iter
+    (fun receiver_degree ->
+      check_step_rule ~sender_degree:8 ~receiver_degree ~dl:0 ~s:6)
+    [ 2; 4; 5; 6 ]
+
 let suite =
   [
     Alcotest.test_case "view create" `Quick test_view_create;
@@ -273,5 +400,13 @@ let suite =
     Alcotest.test_case "Fig 5.2(d): deletion" `Quick test_fig_5_2_deletion;
     Alcotest.test_case "receive into empty slots" `Quick test_receive_places_in_empty_slots;
     Alcotest.test_case "instance conservation" `Quick test_instance_conservation_without_loss;
+    Alcotest.test_case "receive respects a retuned s" `Quick
+      test_receive_respects_retuned_s;
+    Alcotest.test_case "step rule: views with empty slots" `Quick
+      test_step_rule_empty_slots;
+    Alcotest.test_case "step rule: d = dL" `Quick test_step_rule_at_dl;
+    Alcotest.test_case "step rule: full views" `Quick test_step_rule_full_views;
+    Alcotest.test_case "step rule: retuned s below the allocation" `Quick
+      test_step_rule_retuned_s;
     QCheck_alcotest.to_alcotest prop_degree_parity_invariant;
   ]
