@@ -64,12 +64,14 @@ obs: build
 
 # Scale smoke (budget: well under a minute): the sharded flat-state
 # engine at n = 10^4 under the strict round-granular audit and the
-# domain-count determinism cross-check, then the SCALE10 bench section
-# which writes BENCH_scale.json.  The full million-node ladder is
-# `dune exec bench/main.exe -- SCALE`.
+# domain-count determinism cross-check, the same cross-check on a
+# 10^6-node world (~8 s, ~1.1 GB peak RSS on a 2-vCPU host), then the
+# SCALE10 bench section which writes BENCH_scale.json.  The full
+# million-node ladder is `dune exec bench/main.exe -- SCALE`.
 scale: build
 	dune exec bin/sfg.exe -- scale --n 10000 --rounds 30 --loss 0.05 \
 	  --audit --verify-domains 2
+	dune exec bin/sfg.exe -- scale --n 1000000 --rounds 3 --verify-domains 2
 	dune exec bench/main.exe -- SCALE10
 
 # Chaos-at-scale gate (budget: well under a minute): the sharded engine

@@ -38,8 +38,8 @@ let seed = 42
 let loss = 0.05
 let shards = 16
 
-(* Small view: at n = 10^6, each of ids/serials/anchors/born is
-   n * s ints — s = 16 keeps the store at ~512 MB of unboxed arrays. *)
+(* Small view: at n = 10^6 the store takes 20 bytes per slot, so
+   s = 16 keeps it at 320 MB. *)
 let config = Protocol.make_config ~view_size:16 ~lower_threshold:4
 
 (* The production solver wiring: section 6.3 re-solved for the estimated

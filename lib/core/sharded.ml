@@ -3,8 +3,9 @@
    The sequential [Runner] tops out around 1k-10k nodes: one heap object
    per node, boxed audit/trace plumbing on every action, and a strictly
    serial action loop.  [Sharded] is the million-node path: the whole
-   world lives in one [View.Flat] store (four contiguous int arrays plus
-   cached degrees — nothing per-node for the GC to walk), and the action
+   world lives in one [View.Flat] store (20 bytes per slot in a few flat
+   buffers plus cached degrees — nothing per-node for the GC to walk;
+   born stamps are rounds), and the action
    loop is a bulk-synchronous variant of the paper's sequential model,
    partitioned into [shard_count] fixed *logical* shards that OCaml 5
    domains execute in parallel between deterministic barriers.

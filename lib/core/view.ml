@@ -14,12 +14,14 @@
      Fig 7.1.
    - [born]: the creation clock, for age statistics.
 
-   Representation: [Flat] packs the views of a whole world into four
-   contiguous unboxed int arrays (ids, serials, anchors, born stamps) plus
-   a cached degree per node; a slot is empty when its id is -1 and an
-   anchor of -1 encodes "none".  A single view is a one-node [Flat], so
-   the S&F step rule below — defined once, over this layout — serves the
-   per-node engines and the million-node engine alike. *)
+   Representation: [Flat] packs the views of a whole world into 20 bytes
+   per slot: ids, anchors and born stamps are little-endian int32 cells
+   in three [Bytes] buffers, serials stay a 63-bit [int array] (a long
+   run mints past 2^31), and a cached degree per node rides alongside.  A
+   slot is empty when its id is -1 and an anchor of -1 encodes "none".
+   A single view is a one-node [Flat], so the S&F step rule below —
+   defined once, over this layout — serves the per-node engines and the
+   million-node engine alike. *)
 
 type entry = {
   id : int;
@@ -38,35 +40,50 @@ let mint m =
   m.next <- s + m.stride;
   s
 
-(* Index of the empty cell ([ids.(i) < 0]) that is the [remaining]-th
+(* The int32 cells: cell [i] of a buffer is bytes [4i, 4i + 4). *)
+let get32 b i = Int32.to_int (Bytes.get_int32_le b (i lsl 2))
+let set32 b i x = Bytes.set_int32_le b (i lsl 2) (Int32.of_int x)
+
+(* Index of the empty cell ([get32 ids i < 0]) that is the [remaining]-th
    (0-based) at or after [i]; the caller guarantees it exists.  Top-level,
    so a scan builds no closure. *)
 let rec nth_empty ids i remaining =
-  if ids.(i) >= 0 then nth_empty ids (i + 1) remaining
+  if get32 ids i >= 0 then nth_empty ids (i + 1) remaining
   else if remaining = 0 then i
   else nth_empty ids (i + 1) (remaining - 1)
+
+(* The id in the [remaining]-th (0-based) cell at or after [i] that holds
+   an id other than [self]; the caller guarantees it exists. *)
+let rec nth_other ids self i remaining =
+  let id = get32 ids i in
+  if id < 0 || id = self then nth_other ids self (i + 1) remaining
+  else if remaining = 0 then id
+  else nth_other ids self (i + 1) (remaining - 1)
+
+let max_cell = 0x7FFF_FFFF
 
 module Flat = struct
   type t = {
     nodes : int;
     view_size : int;
-    f_ids : int array;      (* nodes * view_size; -1 = empty *)
+    f_ids : Bytes.t;        (* int32 cells, nodes * view_size; -1 = empty *)
     f_serials : int array;
-    f_anchors : int array;  (* -1 = no anchor *)
-    f_born : int array;
+    f_anchors : Bytes.t;    (* int32 cells; -1 = no anchor *)
+    f_born : Bytes.t;       (* int32 cells *)
     degrees : int array;    (* per-node cached occupied-slot counts *)
   }
 
   let create ~nodes ~view_size =
     if nodes < 1 then invalid_arg "View.Flat.create: need at least one node";
     if view_size < 2 then invalid_arg "View.Flat.create: view_size must be at least 2";
+    let cells = nodes * view_size in
     {
       nodes;
       view_size;
-      f_ids = Array.make (nodes * view_size) (-1);
-      f_serials = Array.make (nodes * view_size) 0;
-      f_anchors = Array.make (nodes * view_size) (-1);
-      f_born = Array.make (nodes * view_size) 0;
+      f_ids = Bytes.make (4 * cells) '\xff';
+      f_serials = Array.make cells 0;
+      f_anchors = Bytes.make (4 * cells) '\xff';
+      f_born = Bytes.make (4 * cells) '\000';
       degrees = Array.make nodes 0;
     }
 
@@ -74,24 +91,34 @@ module Flat = struct
   let view_size t = t.view_size
   let degree t u = t.degrees.(u)
 
-  let id_at t u slot = t.f_ids.((u * t.view_size) + slot)
+  let id_at t u slot = get32 t.f_ids ((u * t.view_size) + slot)
   let serial_at t u slot = t.f_serials.((u * t.view_size) + slot)
-  let anchor_at t u slot = t.f_anchors.((u * t.view_size) + slot)
-  let born_at t u slot = t.f_born.((u * t.view_size) + slot)
+  let anchor_at t u slot = get32 t.f_anchors ((u * t.view_size) + slot)
+  let born_at t u slot = get32 t.f_born ((u * t.view_size) + slot)
+
+  (* [x lsr 31 = 0] iff [0 <= x < 2^31]: a negative int has its top bit
+     set. *)
+  let holds ~id ~anchor ~born =
+    (id lor born) lsr 31 = 0 && anchor >= -1 && anchor <= max_cell
+
+  (* Writes an instance the caller has checked with [holds]. *)
+  let put t u slot ~id ~serial ~anchor ~born =
+    let i = (u * t.view_size) + slot in
+    if get32 t.f_ids i < 0 then t.degrees.(u) <- t.degrees.(u) + 1;
+    set32 t.f_ids i id;
+    t.f_serials.(i) <- serial;
+    set32 t.f_anchors i anchor;
+    set32 t.f_born i born
 
   let set t u slot ~id ~serial ~anchor ~born =
-    if id < 0 then invalid_arg "View.Flat.set: negative id";
-    let i = (u * t.view_size) + slot in
-    if t.f_ids.(i) < 0 then t.degrees.(u) <- t.degrees.(u) + 1;
-    t.f_ids.(i) <- id;
-    t.f_serials.(i) <- serial;
-    t.f_anchors.(i) <- anchor;
-    t.f_born.(i) <- born
+    if not (holds ~id ~anchor ~born) then
+      invalid_arg "View.Flat.set: id, anchor or born stamp outside the int32 cells";
+    put t u slot ~id ~serial ~anchor ~born
 
   let clear t u slot =
     let i = (u * t.view_size) + slot in
-    if t.f_ids.(i) >= 0 then begin
-      t.f_ids.(i) <- -1;
+    if get32 t.f_ids i >= 0 then begin
+      set32 t.f_ids i (-1);
       t.degrees.(u) <- t.degrees.(u) - 1
     end
 
@@ -107,20 +134,36 @@ module Flat = struct
       nth_empty t.f_ids base (Sf_prng.Rng.int rng free) - base
     end
 
+  (* Uniform over the view's instances of ids other than [u] (with
+     multiplicity): count them, draw one [Rng.int] over the count, scan
+     forward to the pick.  An empty count draws nothing. *)
+  let sample_id t u rng =
+    let base = u * t.view_size in
+    let candidates = ref 0 in
+    for i = base to base + t.view_size - 1 do
+      let id = get32 t.f_ids i in
+      if id >= 0 && id <> u then incr candidates
+    done;
+    if !candidates = 0 then -1
+    else nth_other t.f_ids u base (Sf_prng.Rng.int rng !candidates)
+
   let recount_degree t u =
     let base = u * t.view_size in
     let occupied = ref 0 in
     for slot = 0 to t.view_size - 1 do
-      if t.f_ids.(base + slot) >= 0 then incr occupied
+      if get32 t.f_ids (base + slot) >= 0 then incr occupied
     done;
     !occupied
 
   let total_edges t = Array.fold_left ( + ) 0 t.degrees
 
   let equal a b =
-    a.nodes = b.nodes && a.view_size = b.view_size && a.f_ids = b.f_ids
-    && a.f_serials = b.f_serials && a.f_anchors = b.f_anchors
-    && a.f_born = b.f_born && a.degrees = b.degrees
+    a.nodes = b.nodes && a.view_size = b.view_size
+    && Bytes.equal a.f_ids b.f_ids
+    && a.f_serials = b.f_serials
+    && Bytes.equal a.f_anchors b.f_anchors
+    && Bytes.equal a.f_born b.f_born
+    && a.degrees = b.degrees
 
   (* --- The S&F step rule (Figure 5.1) ---
 
@@ -170,7 +213,7 @@ module Flat = struct
     let i = Sf_prng.Rng.int rng s in
     let j = Sf_prng.Rng.int_except rng s i in
     let base = u * s in
-    let target = t.f_ids.(base + i) and forwarded = t.f_ids.(base + j) in
+    let target = get32 t.f_ids (base + i) and forwarded = get32 t.f_ids (base + j) in
     if target < 0 || forwarded < 0 then false
     else begin
       let dup = t.degrees.(u) <= dl in
@@ -192,7 +235,7 @@ module Flat = struct
         p.r_anchor <- -1;
         p.m_serial <- t.f_serials.(base + j);
         p.m_anchor <- -1;
-        p.m_born <- t.f_born.(base + j);
+        p.m_born <- get32 t.f_born (base + j);
         clear t u i;
         clear t u j
       end;
@@ -202,23 +245,29 @@ module Flat = struct
   (* Receive at v: place both ids in uniformly chosen empty slots when
      the live s leaves room for two (s - d >= 2, so the outdegree never
      passes s); otherwise delete both.  An [s] above the allocation
-     counts as the allocation. *)
+     counts as the allocation.  Both instances are range-checked before
+     either is placed, so a rejected packet changes nothing. *)
   let receive t v rng ~s p =
     let s = if s < t.view_size then s else t.view_size in
     if s - t.degrees.(v) < 2 then false
     else begin
+      if
+        not
+          (holds ~id:p.src ~anchor:p.r_anchor ~born:p.r_born
+          && holds ~id:p.m_id ~anchor:p.m_anchor ~born:p.m_born)
+      then invalid_arg "View.Flat.receive: instance outside the int32 cells";
       let slot = random_empty_slot t v rng in
-      set t v slot ~id:p.src ~serial:p.r_serial ~anchor:p.r_anchor ~born:p.r_born;
+      put t v slot ~id:p.src ~serial:p.r_serial ~anchor:p.r_anchor ~born:p.r_born;
       let slot = random_empty_slot t v rng in
-      set t v slot ~id:p.m_id ~serial:p.m_serial ~anchor:p.m_anchor ~born:p.m_born;
+      put t v slot ~id:p.m_id ~serial:p.m_serial ~anchor:p.m_anchor ~born:p.m_born;
       true
     end
 end
 
 (* --- A single view: a one-node [Flat] ---
 
-   Node 0's slot [i] is cell [i] of each array, so the accessors below
-   index the arrays directly. *)
+   Node 0's slot [i] is cell [i] of each buffer, so the accessors below
+   index the cells directly. *)
 
 type t = Flat.t
 
@@ -230,19 +279,19 @@ let size (t : t) = t.view_size
 let degree (t : t) = t.degrees.(0)
 let is_full t = degree t = size t
 let free_slots t = size t - degree t
-let id_at (t : t) i = t.f_ids.(i)
+let id_at (t : t) i = get32 t.f_ids i
 
 let get (t : t) i =
-  let id = t.f_ids.(i) in
+  let id = get32 t.f_ids i in
   if id < 0 then None
   else
-    let a = t.f_anchors.(i) in
+    let a = get32 t.f_anchors i in
     Some
       {
         id;
         serial = t.f_serials.(i);
         anchor = (if a < 0 then None else Some a);
-        born = t.f_born.(i);
+        born = get32 t.f_born i;
       }
 
 let set t i entry =

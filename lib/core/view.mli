@@ -6,9 +6,9 @@
     the instance depends on, set by duplication — Property M4), and a
     [born] creation stamp.
 
-    {!Flat} packs whole worlds of views into contiguous unboxed int
-    arrays, with no per-node or per-entry heap objects; a single view
-    ({!t}) is a one-node {!Flat}.  {!entry} values are materialized on
+    {!Flat} packs whole worlds of views into 20 bytes per slot, with no
+    per-node or per-entry heap objects; a single view ({!t}) is a
+    one-node {!Flat}.  {!entry} values are materialized on
     demand by {!get}/{!iter}/{!fold}; hot paths that only need ids can use
     the allocation-free {!id_at}. *)
 
@@ -27,17 +27,29 @@ type minter = { mutable next : int; stride : int }
 
 val mint : minter -> int
 
-(** Packed whole-world views: every view of an [n]-node world in four
-    contiguous unboxed int arrays indexed by [node * view_size + slot],
-    plus a cached per-node degree array.  A slot is empty when its id is
-    [-1]; an anchor of [-1] encodes "none".  This is the state layout of
-    the sharded engine ({!Sf_core.Sharded}): a million-node world is a
-    handful of flat arrays the GC never walks. *)
+(** Packed whole-world views: every view of an [n]-node world indexed by
+    [node * view_size + slot], 20 bytes per slot.  Ids, anchors and born
+    stamps are int32 cells in three [Bytes] buffers; serials are a
+    63-bit [int array]; a cached per-node degree array rides alongside.
+    A slot is empty when its id is [-1]; an anchor of [-1] encodes
+    "none".  This is the state layout of the sharded engine
+    ({!Sf_core.Sharded}): a million-node world is a handful of flat
+    buffers the GC never walks.
+
+    The cells bound what a slot can hold (see {!holds}): ids and born
+    stamps lie in [[0, 2{^31})], anchors in [[-1, 2{^31})].  Ids are
+    node indices.  Born stamps are each engine's clock: {!Sf_core.Sharded}
+    stamps rounds, the sequential engines ({!Sf_core.Runner},
+    {!Sf_core.Baselines}, {!Sf_core.Variants}) stamp their action count,
+    and [Sf_net.Driver] stamps elapsed firing periods — each stays below
+    2{^31} for any run this repository makes (2{^31} sequential actions
+    are hours at the fastest engine's rate).  Serials have no bound. *)
 module Flat : sig
   type t
 
   val create : nodes:int -> view_size:int -> t
-  (** All slots empty.  O(nodes * view_size) words, allocated once. *)
+  (** All slots empty.  [20 * nodes * view_size] bytes plus the degree
+      array, allocated once. *)
 
   val node_count : t -> int
   val view_size : t -> int
@@ -54,11 +66,16 @@ module Flat : sig
 
   val born_at : t -> int -> int -> int
 
+  val holds : id:int -> anchor:int -> born:int -> bool
+  (** Whether a slot can hold the instance: [id] and [born] in
+      [[0, 2{^31})], [anchor] in [[-1, 2{^31})].  The wire codec checks
+      outside input with this before it reaches a store. *)
+
   val set :
     t -> int -> int -> id:int -> serial:int -> anchor:int -> born:int -> unit
   (** [set t u slot ~id ~serial ~anchor ~born] installs an instance
-      ([anchor] is [-1] for none).  Raises [Invalid_argument] on a
-      negative id. *)
+      ([anchor] is [-1] for none).  Raises [Invalid_argument] when
+      {!holds} is false: a value is never truncated to fit. *)
 
   val clear : t -> int -> int -> unit
 
@@ -66,6 +83,13 @@ module Flat : sig
   (** Uniformly random empty slot of node [u], [-1] when full: one
       {!Sf_prng.Rng.int} draw over the free-slot count (none when full),
       then a scan to that empty slot.  Allocates nothing. *)
+
+  val sample_id : t -> int -> Sf_prng.Rng.t -> int
+  (** [sample_id t u rng]: a uniformly random instance of node [u]'s view
+      whose id is not [u] (duplicates weigh by multiplicity), or [-1]
+      when there is none.  One forward scan counts the candidates, one
+      {!Sf_prng.Rng.int} picks among them (none is drawn for [-1]), a
+      second scan stops at the pick.  Allocates nothing. *)
 
   val recount_degree : t -> int -> int
   (** Occupied-slot recount for node [u] — the audit cross-check for the
@@ -128,7 +152,9 @@ module Flat : sig
       live view size [s] (an [s] above the allocation counts as the
       allocation).  When [s - degree t v >= 2] both instances go into
       uniformly drawn empty slots, reinforcement first, and the result is
-      [true]; otherwise both are deleted: [false], nothing changes. *)
+      [true]; otherwise both are deleted: [false], nothing changes.
+      Raises [Invalid_argument], before any change or draw, when an
+      instance to be placed fails {!holds}. *)
 end
 
 type t = Flat.t

@@ -35,7 +35,6 @@
 
 module Sharded = Sf_core.Runner.Sharded
 module VFlat = Sf_core.View.Flat
-module Protocol = Sf_core.Protocol
 module Rng = Sf_prng.Rng
 module Loss = Sf_faults.Loss
 
@@ -92,7 +91,6 @@ type t = {
   fanout : int;
   coverage_target : float;
   chance : float;
-  view_size : int;
   shard_count : int;
   sshards : sshard array;
   pos : int array;  (* slot -> index within its owner's [sp_owned] *)
@@ -179,7 +177,6 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
     fanout;
     coverage_target;
     chance = Sharded.loss_rate world;
-    view_size = (Sharded.config world).Protocol.view_size;
     shard_count = shards;
     sshards;
     pos;
@@ -191,31 +188,10 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   }
 
 (* One uniformly random non-self id from [u]'s current view, or [-1]:
-   the two-pass scan of [Sampling.sample], applied to the packed store,
-   where it allocates nothing.  A successful draw consumes exactly one
-   [Rng.int]; a [-1] result consumes none. *)
-let sample_view t rng u =
-  let store = Sharded.store t.world in
-  let candidates = ref 0 in
-  for k = 0 to t.view_size - 1 do
-    let id = VFlat.id_at store u k in
-    if id >= 0 && id <> u then incr candidates
-  done;
-  if !candidates = 0 then -1
-  else begin
-    let pick = Rng.int rng !candidates in
-    let seen = ref 0 and found = ref (-1) in
-    for k = 0 to t.view_size - 1 do
-      if !found < 0 then begin
-        let id = VFlat.id_at store u k in
-        if id >= 0 && id <> u then begin
-          if !seen = pick then found := id;
-          incr seen
-        end
-      end
-    done;
-    !found
-  end
+   the two-pass scan of [Sampling.sample], run inside the unit that owns
+   the packed store.  A successful draw consumes exactly one [Rng.int]; a
+   [-1] result consumes none. *)
+let sample_view t rng u = VFlat.sample_id (Sharded.store t.world) u rng
 
 (* The per-message verdict, judged at send time with the sending shard's
    RNG: destination crash window, partition window (both round-stable

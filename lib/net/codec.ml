@@ -71,6 +71,7 @@ type error =
   | Oversized of int
   | Bad_kind of char
   | Bad_count of int
+  | Bad_entry
 
 let pp_error ppf = function
   | Too_short n -> Fmt.pf ppf "datagram too short (%d bytes)" n
@@ -79,20 +80,26 @@ let pp_error ppf = function
   | Oversized n -> Fmt.pf ppf "datagram longer than its version allows (%d bytes)" n
   | Bad_kind c -> Fmt.pf ppf "unknown v2 datagram kind %d" (Char.code c)
   | Bad_count n -> Fmt.pf ppf "batch count %d outside [1, %d]" n max_batch
+  | Bad_entry -> Fmt.pf ppf "entry outside the range a view can hold"
 
-(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), computed bitwise: 64
-   payload bytes cost 512 shift/xor steps, well under the cost of the
-   sendto the frame is about to pay, and the bitwise form keeps the module
-   free of shared mutable table state. *)
+(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), one table lookup per
+   byte.  The 256-entry table is built once into an immutable string (four
+   little-endian bytes per entry), so the module holds no shared mutable
+   state. *)
+let rec crc_shift c bits =
+  if bits = 0 then c
+  else crc_shift (if c land 1 = 1 then 0xEDB88320 lxor (c lsr 1) else c lsr 1) (bits - 1)
+
+let crc_table =
+  String.init (256 * 4) (fun k ->
+      Char.chr ((crc_shift (k / 4) 8 lsr (8 * (k land 3))) land 0xFF))
+
 let crc32 buffer ~pos ~len =
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := !crc lxor Char.code (Bytes.get buffer i);
-    for _ = 0 to 7 do
-      let low = !crc land 1 in
-      crc := !crc lsr 1;
-      if low = 1 then crc := !crc lxor 0xEDB88320
-    done
+    let k = (!crc lxor Char.code (Bytes.get buffer i)) land 0xFF in
+    let entry = Int32.to_int (String.get_int32_le crc_table (4 * k)) land 0xFFFFFFFF in
+    crc := entry lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 
@@ -116,6 +123,21 @@ let read_entry buffer ~offset =
   let born = Int64.to_int (Bytes.get_int64_le buffer (offset + 24)) in
   { Sf_core.View.id; serial; anchor; born }
 
+(* The int64 at [pos] as an int, or [min_int] when it does not fit in 63
+   bits ([Int64.to_int] would wrap it, possibly into range). *)
+let wire_int buffer pos =
+  let x = Bytes.get_int64_le buffer pos in
+  if Int64.equal (Int64.of_int (Int64.to_int x)) x then Int64.to_int x else min_int
+
+(* Whether the 32-byte entry at [offset] is one a view store can hold. *)
+let storable_entry buffer ~offset =
+  Sf_core.View.Flat.holds ~id:(wire_int buffer offset)
+    ~anchor:(wire_int buffer (offset + 16))
+    ~born:(wire_int buffer (offset + 24))
+
+let storable_payload buffer ~offset =
+  storable_entry buffer ~offset && storable_entry buffer ~offset:(offset + 32)
+
 let write_payload buffer ~offset (message : Sf_core.Protocol.message) =
   write_entry buffer ~offset message.Sf_core.Protocol.reinforcement;
   write_entry buffer ~offset:(offset + 32) message.Sf_core.Protocol.mixing
@@ -138,6 +160,7 @@ let decode buffer ~length =
   else if Bytes.get buffer 0 <> magic then Error (Bad_magic (Bytes.get buffer 0))
   else if Bytes.get buffer 1 <> version then
     Error (Unsupported_version (Bytes.get buffer 1))
+  else if not (storable_payload buffer ~offset:2) then Error Bad_entry
   else Ok (read_payload buffer ~offset:2)
 
 (* --- v2 encoding --- *)
@@ -191,8 +214,9 @@ let encode_hello ~lo ~hi =
 (* --- Version-dispatching decoder --- *)
 
 type batch = {
-  messages : Sf_core.Protocol.message list;  (* CRC-clean frames, in order *)
+  messages : Sf_core.Protocol.message list;  (* clean frames, in order *)
   bad_crc : int;
+  bad_entry : int;
   truncated : bool;
 }
 
@@ -212,20 +236,23 @@ let decode_batch buffer ~length =
          only the torn tail is rejected. *)
       let complete = min count ((length - batch_header_size) / frame_size) in
       let truncated = length < expected in
-      let bad_crc = ref 0 in
+      let bad_crc = ref 0 and bad_entry = ref 0 in
       let messages = ref [] in
       for i = complete - 1 downto 0 do
         let offset = frame_offset i in
         let stored = Int32.to_int (Bytes.get_int32_le buffer (offset + payload_size)) land 0xFFFFFFFF in
-        if stored = crc32 buffer ~pos:offset ~len:payload_size then
-          messages := read_payload buffer ~offset :: !messages
-        else incr bad_crc
+        if stored <> crc32 buffer ~pos:offset ~len:payload_size then incr bad_crc
+        else if not (storable_payload buffer ~offset) then incr bad_entry
+        else messages := read_payload buffer ~offset :: !messages
       done;
-      Ok (Batch { messages = !messages; bad_crc = !bad_crc; truncated })
+      Ok
+        (Batch
+           { messages = !messages; bad_crc = !bad_crc; bad_entry = !bad_entry; truncated })
     end
   end
 
 let decode_datagram ?(max_version = 2) buffer ~length =
+  let length = max 0 (min length (Bytes.length buffer)) in
   if length < 2 then Error (Too_short length)
   else if Bytes.get buffer 0 <> magic then Error (Bad_magic (Bytes.get buffer 0))
   else
@@ -233,6 +260,7 @@ let decode_datagram ?(max_version = 2) buffer ~length =
     | 1 ->
       if length < message_size then Error (Too_short length)
       else if length > message_size then Error (Oversized length)
+      else if not (storable_payload buffer ~offset:2) then Error Bad_entry
       else Ok (Msg_v1 (read_payload buffer ~offset:2))
     | 2 when max_version >= 2 -> (
       if length < 3 then Error (Too_short length)

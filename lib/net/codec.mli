@@ -46,6 +46,9 @@ type error =
   | Oversized of int             (** longer than its version's layout allows *)
   | Bad_kind of char             (** v2 kind byte neither hello nor batch *)
   | Bad_count of int             (** batch count outside [1, max_batch] *)
+  | Bad_entry
+      (** an entry no view can hold ({!Sf_core.View.Flat.holds}): id or
+          born outside [[0, 2{^31})], anchor outside [[-1, 2{^31})] *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -59,7 +62,8 @@ val encode : Sf_core.Protocol.message -> bytes
 val decode : bytes -> length:int -> (Sf_core.Protocol.message, error) result
 (** Decode the first [length] bytes of a received v1 datagram (the
     historical decoder: under-length datagrams are [Too_short]; trailing
-    bytes are ignored, as before the v2 layer existed). *)
+    bytes are ignored, as before the v2 layer existed; an entry no view
+    can hold is [Bad_entry]). *)
 
 (** {2 v2} *)
 
@@ -77,8 +81,10 @@ val corrupt_frame : bytes -> int -> unit
 
 type batch = {
   messages : Sf_core.Protocol.message list;
-      (** CRC-clean frames, in batch order *)
+      (** clean frames, in batch order *)
   bad_crc : int;      (** frames rejected by their CRC *)
+  bad_entry : int;
+      (** CRC-clean frames rejected for an entry no view can hold *)
   truncated : bool;   (** datagram shorter than its declared count *)
 }
 
@@ -92,5 +98,9 @@ val decode_datagram :
 (** Version-dispatching decoder.  [max_version] (default 2) is the
     receiving host's ceiling: a v1-configured host passes 1 and sees v2
     traffic as [Unsupported_version], exactly as a historical binary
-    would.  A truncated batch still yields its complete frames with
-    [truncated = true]; CRC-rejected frames are counted, not fatal. *)
+    would.  [length] is clamped to [[0, Bytes.length buffer]].  A
+    truncated batch still yields its complete frames with
+    [truncated = true]; CRC-rejected frames and frames carrying an entry
+    no view can hold are counted, not fatal.  A v1 datagram carrying such
+    an entry is [Error Bad_entry].  Every message decoded is safe to hand
+    to {!Sf_core.Protocol.receive}.  Never raises. *)

@@ -358,6 +358,13 @@ let trace t event =
   if Sf_obs.Obs.tracing t.obs then
     Sf_obs.Obs.trace t.obs ~now:((t.now () -. t.started) /. t.period) event
 
+(* Born stamps: whole firing periods since creation, the unit of the
+   trace stamps and the injector clock.  Floored at 0 so a wall clock
+   stepped backwards cannot produce a stamp the view store rejects; at
+   the 0.1 ms period of a saturated host, 2^31 periods is ~60 hours. *)
+let born_stamp t =
+  max 0 (int_of_float ((t.now () -. t.started) /. t.period))
+
 (* A signal landing mid-sendto must not cost the datagram: retry on EINTR
    (the kernel sent nothing), count everything else as a send error —
    including ECONNREFUSED, which on loopback means a previous datagram
@@ -531,7 +538,7 @@ let fire_inner t ns =
   trace t (Sf_obs.Trace.Timer { node = ns.node.Sf_core.Protocol.node_id });
   match
     Sf_core.Protocol.initiate ns.config t.rng ~serials:t.serials
-      ~clock:t.actions ns.node
+      ~clock:(born_stamp t) ns.node
   with
   | Sf_core.Protocol.Self_loop -> ()
   | Sf_core.Protocol.Send { destination; message; duplicated } -> (
@@ -664,6 +671,10 @@ let drain t ns =
               Sf_obs.Metrics.add t.c_crc_rejected batch.Codec.bad_crc;
               trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
             end;
+            if batch.Codec.bad_entry > 0 then begin
+              Sf_obs.Metrics.add t.c_decode_errors batch.Codec.bad_entry;
+              trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
+            end;
             List.iter deliver batch.Codec.messages
           | Ok (Codec.Hello { lo; hi }) -> handle_hello t ns ~from ~lo ~hi
           | Error (Codec.Too_short _) ->
@@ -731,7 +742,7 @@ let install_ids t (ns : node_state) ids =
   List.iteri
     (fun slot id ->
       Sf_core.View.set view slot
-        { Sf_core.View.id; serial = Sf_core.View.mint t.serials; anchor = None; born = t.actions })
+        { Sf_core.View.id; serial = Sf_core.View.mint t.serials; anchor = None; born = born_stamp t })
     ids
 
 let rejoin t (ns : node_state) =

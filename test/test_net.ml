@@ -323,6 +323,193 @@ let test_v2_bad_crc () =
     && b.Codec.bad_crc = 1
     && not b.Codec.truncated)
 
+(* --- CRC-32 --- *)
+
+(* The bitwise CRC-32 (IEEE, reflected, poly 0xEDB88320): the reference
+   the table-driven [Codec.crc32] must agree with. *)
+let crc32_bitwise buffer ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get buffer i);
+    for _ = 0 to 7 do
+      let low = !crc land 1 in
+      crc := !crc lsr 1;
+      if low = 1 then crc := !crc lxor 0xEDB88320
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_known_answer () =
+  let check name s expected =
+    Alcotest.(check int) name expected
+      (Codec.crc32 (Bytes.of_string s) ~pos:0 ~len:(String.length s))
+  in
+  check "IEEE check value" "123456789" 0xCBF43926;
+  check "empty range" "" 0;
+  let b = Bytes.of_string "xx123456789yy" in
+  Alcotest.(check int) "offset range" 0xCBF43926 (Codec.crc32 b ~pos:2 ~len:9)
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 table form equals the bitwise form" ~count:500
+    QCheck.(triple (string_of_size Gen.(0 -- 200)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let buffer = Bytes.of_string s in
+      let n = Bytes.length buffer in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Codec.crc32 buffer ~pos ~len = crc32_bitwise buffer ~pos ~len)
+
+(* --- Entries no view can hold --- *)
+
+(* Overwrite int64 field [field] (0 id, 1 serial, 2 anchor, 3 born) of
+   entry [e] (0 reinforcement, 1 mixing) of the payload at [offset]. *)
+let poke packet ~offset ~e ~field v =
+  Bytes.set_int64_le packet (offset + (32 * e) + (8 * field)) v
+
+(* Recompute frame [i]'s CRC, so the frame reaches the range check. *)
+let reseal packet i =
+  let offset = Codec.frame_offset i in
+  Bytes.set_int32_le packet (offset + Codec.payload_size)
+    (Int32.of_int (Codec.crc32 packet ~pos:offset ~len:Codec.payload_size))
+
+let id_field = 0 and anchor_field = 2 and born_field = 3
+
+(* (field, wire value, whether a view can hold it).  The 0x8000...
+   and 0x7FFF... values are the ones [Int64.to_int] would wrap to 5 and
+   -1, both in range. *)
+let range_cases =
+  [
+    (id_field, 0L, true);
+    (id_field, 0x7FFF_FFFFL, true);
+    (id_field, -1L, false);
+    (id_field, -5L, false);
+    (id_field, 0x8000_0000L, false);
+    (id_field, 0x8000_0000_0000_0005L, false);
+    (anchor_field, -1L, true);
+    (anchor_field, 0x7FFF_FFFFL, true);
+    (anchor_field, -2L, false);
+    (anchor_field, 0x8000_0000L, false);
+    (anchor_field, 0x7FFF_FFFF_FFFF_FFFFL, false);
+    (born_field, 0L, true);
+    (born_field, 0x7FFF_FFFFL, true);
+    (born_field, -1L, false);
+    (born_field, 0x8000_0000L, false);
+  ]
+
+let test_codec_rejects_unstorable () =
+  List.iter
+    (fun (field, v, holds) ->
+      List.iter
+        (fun e ->
+          let name = Printf.sprintf "entry %d field %d = %Ld" e field v in
+          let v1 = Codec.encode (message ()) in
+          poke v1 ~offset:2 ~e ~field v;
+          (match Codec.decode_datagram v1 ~length:Codec.message_size with
+          | Ok (Codec.Msg_v1 _) when holds -> ()
+          | Error Codec.Bad_entry when not holds -> ()
+          | _ -> Alcotest.failf "%s: v1 datagram misjudged" name);
+          (match Codec.decode v1 ~length:Codec.message_size with
+          | Ok _ when holds -> ()
+          | Error Codec.Bad_entry when not holds -> ()
+          | _ -> Alcotest.failf "%s: historical v1 decoder misjudged" name);
+          let batch = one_packet (messages 3) in
+          poke batch ~offset:(Codec.frame_offset 1) ~e ~field v;
+          reseal batch 1;
+          let b = decode_one_batch batch in
+          if holds then
+            Alcotest.(check int) (name ^ ": v2 frame kept") 3
+              (List.length b.Codec.messages)
+          else
+            Alcotest.(check bool)
+              (name ^ ": v2 frame dropped, the others delivered")
+              true
+              (b.Codec.messages = [ nth_message 0; nth_message 2 ]
+              && b.Codec.bad_entry = 1 && b.Codec.bad_crc = 0))
+        [ 0; 1 ])
+    range_cases
+
+(* A v1 datagram whose reinforcement id is -5, and a CRC-clean v2 batch
+   whose frames 1 and 2 carry an id of -5 and a born stamp of 2^31. *)
+let v1_unstorable () =
+  let packet = Codec.encode (message ()) in
+  poke packet ~offset:2 ~e:0 ~field:id_field (-5L);
+  packet
+
+let v2_unstorable () =
+  let packet = one_packet (messages 4) in
+  poke packet ~offset:(Codec.frame_offset 1) ~e:0 ~field:id_field (-5L);
+  reseal packet 1;
+  poke packet ~offset:(Codec.frame_offset 2) ~e:1 ~field:born_field 0x8000_0000L;
+  reseal packet 2;
+  packet
+
+(* Fuzzing the decoder: datagrams built from valid v1, v2-batch and hello
+   encodings (or plain noise), with random bytes overwritten, random
+   entry fields set to boundary values, frames optionally resealed so the
+   damage passes the CRC, and an arbitrary length. *)
+let fuzz_datagram =
+  let open QCheck.Gen in
+  let wide =
+    oneofl
+      [ 0L; -1L; -2L; 0x7FFF_FFFFL; 0x8000_0000L; Int64.max_int; Int64.min_int;
+        0x8000_0000_0000_0005L ]
+  in
+  let base =
+    oneof
+      [
+        map Bytes.of_string (string_size (0 -- Codec.recv_buffer_size));
+        return (Codec.encode (message ~anchor:(Some 3) ()));
+        map (fun k -> one_packet (messages k)) (1 -- Codec.max_batch);
+        return (Codec.encode_hello ~lo:1024 ~hi:2048);
+      ]
+  in
+  let* packet = base in
+  let n = Bytes.length packet in
+  let* byte_edits = list_size (0 -- 4) (pair nat char) in
+  let* field_edits = list_size (0 -- 3) (triple nat (0 -- 3) wide) in
+  let* resealed = bool in
+  let* length = int_range (-2) (n + 2) in
+  let packet = Bytes.copy packet in
+  if n > 0 then List.iter (fun (i, c) -> Bytes.set packet (i mod n) c) byte_edits;
+  (* Entry offsets: the two of a v1 datagram, or two per batch frame. *)
+  let entries =
+    if n = Codec.message_size then [| 2; 34 |]
+    else if n > Codec.batch_header_size then
+      Array.init
+        (2 * ((n - Codec.batch_header_size) / Codec.frame_size))
+        (fun k -> Codec.frame_offset (k / 2) + (32 * (k mod 2)))
+    else [||]
+  in
+  if Array.length entries > 0 then
+    List.iter
+      (fun (slot, field, v) ->
+        let offset = entries.(slot mod Array.length entries) in
+        Bytes.set_int64_le packet (offset + (8 * field)) v)
+      field_edits;
+  if resealed && n > Codec.batch_header_size then
+    for i = 0 to ((n - Codec.batch_header_size) / Codec.frame_size) - 1 do
+      reseal packet i
+    done;
+  return (packet, length)
+
+let prop_decode_never_raises =
+  QCheck.Test.make ~name:"codec: decode never raises, decoded messages never crash receive"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (p, length) ->
+         Printf.sprintf "length %d of %S" length (Bytes.to_string p))
+       fuzz_datagram)
+    (fun (packet, length) ->
+      let receive message =
+        let node = Protocol.create_node ~config ~node_id:0 in
+        ignore (Protocol.receive config (Sf_prng.Rng.create 1) node message)
+      in
+      (match Codec.decode_datagram packet ~length with
+      | Ok (Codec.Msg_v1 m) -> receive m
+      | Ok (Codec.Batch b) -> List.iter receive b.Codec.messages
+      | Ok (Codec.Hello _) | Error _ -> ());
+      true)
+
 (* The downgrade matrix: each side of a mixed v1/v2 cluster must see the
    other's traffic exactly as negotiation assumes. *)
 let test_v2_downgrade_matrix () =
@@ -449,6 +636,29 @@ let test_driver_v1_v2_interop () =
         (sb.Driver.decode_errors > 0);
       Alcotest.(check int) "the v1 side never spoke v2" 0
         (sb.Driver.hellos_sent + sb.Driver.batches_sent))
+
+(* Bytes from the wire must never kill a node-host: both datagrams land
+   on a live driver's socket, the run completes, and the decode-error
+   counter counts the v1 datagram and the two v2 frames. *)
+let test_driver_survives_unstorable () =
+  let base_port = 49250 in
+  let d = make_slice ~first:0 ~count:8 ~n:8 ~base_port () in
+  let sender = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Driver.shutdown d;
+      Unix.close sender)
+    (fun () ->
+      let target = Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 3) in
+      List.iter
+        (fun packet ->
+          ignore (Unix.sendto sender packet 0 (Bytes.length packet) [] target))
+        [ v1_unstorable (); v2_unstorable () ];
+      Driver.run d ~duration:0.3;
+      let stats = Driver.statistics d in
+      Alcotest.(check bool) "the run kept going" true (stats.Driver.actions > 10);
+      Alcotest.(check int) "one v1 datagram and two v2 frames rejected" 3
+        stats.Driver.decode_errors)
 
 (* --- Node-host and spawner --- *)
 
@@ -578,12 +788,19 @@ let suite =
     Alcotest.test_case "codec v2 oversized batch splits" `Quick test_v2_batch_split;
     Alcotest.test_case "codec v2 truncated batch" `Quick test_v2_truncated_batch;
     Alcotest.test_case "codec v2 bad CRC rejects one frame" `Quick test_v2_bad_crc;
+    Alcotest.test_case "codec crc32 known answer" `Quick test_crc32_known_answer;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+    Alcotest.test_case "codec rejects entries no view can hold" `Quick
+      test_codec_rejects_unstorable;
+    QCheck_alcotest.to_alcotest prop_decode_never_raises;
     Alcotest.test_case "codec v1/v2 downgrade matrix" `Quick test_v2_downgrade_matrix;
     Alcotest.test_case "codec recv buffer size" `Quick test_recv_buffer_size;
     Alcotest.test_case "driver survives closed ports mid-run" `Quick
       test_driver_closed_ports;
     Alcotest.test_case "driver v2<->v2 negotiation and batching" `Quick
       test_driver_v2_interop;
+    Alcotest.test_case "driver survives entries no view can hold" `Quick
+      test_driver_survives_unstorable;
     Alcotest.test_case "driver v2<->v1 per-peer downgrade" `Quick
       test_driver_v1_v2_interop;
     Alcotest.test_case "nodehost control commands" `Quick test_nodehost_commands;

@@ -74,6 +74,121 @@ let prop_degrees_match_recount =
           check_all ())
         ops)
 
+(* --- Flat representation: the int32 cells --- *)
+
+let max_cell = (1 lsl 31) - 1
+
+let test_flat_cell_bounds () =
+  let filled () =
+    let store = View.Flat.create ~nodes:2 ~view_size:4 in
+    View.Flat.set store 1 2 ~id:max_cell ~serial:max_int ~anchor:max_cell
+      ~born:max_cell;
+    View.Flat.set store 1 3 ~id:0 ~serial:min_int ~anchor:(-1) ~born:0;
+    store
+  in
+  let store = filled () and before = filled () in
+  let cell slot =
+    ( (View.Flat.id_at store 1 slot, View.Flat.serial_at store 1 slot),
+      (View.Flat.anchor_at store 1 slot, View.Flat.born_at store 1 slot) )
+  in
+  let quad = Alcotest.(pair (pair int int) (pair int int)) in
+  Alcotest.check quad "2^31 - 1 round-trips in every int32 cell"
+    ((max_cell, max_int), (max_cell, max_cell)) (cell 2);
+  Alcotest.check quad "anchor -1 and 63-bit serials round-trip"
+    ((0, min_int), (-1, 0)) (cell 3);
+  List.iter
+    (fun (name, id, anchor, born) ->
+      (match View.Flat.set store 1 0 ~id ~serial:7 ~anchor ~born with
+      | () -> Alcotest.failf "set accepted %s" name
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (name ^ ": store unchanged") true
+        (View.Flat.equal store before))
+    [
+      ("id 2^31", max_cell + 1, -1, 0);
+      ("id -1", -1, -1, 0);
+      ("anchor 2^31", 0, max_cell + 1, 0);
+      ("anchor -2", 0, -2, 0);
+      ("born 2^31", 0, -1, max_cell + 1);
+      ("born -1", 0, -1, -1);
+    ];
+  (* A packet whose mixing instance no cell can hold: the receive step
+     raises before placing the reinforcement. *)
+  let p = View.Flat.packet () in
+  p.View.Flat.src <- 5;
+  p.View.Flat.m_id <- 6;
+  p.View.Flat.m_born <- max_cell + 1;
+  (match View.Flat.receive store 0 (Rng.create 3) ~s:4 p with
+  | _ -> Alcotest.fail "receive placed an instance no cell can hold"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "rejected packet leaves the store unchanged" true
+    (View.Flat.equal store before)
+
+(* The scan [Sf_spread.Flat] ran before [View.Flat.sample_id] existed:
+   count the non-self ids, one [Rng.int] over the count, then a forward
+   scan to the pick. *)
+let sample_view_reference store rng u =
+  let s = View.Flat.view_size store in
+  let candidates = ref 0 in
+  for k = 0 to s - 1 do
+    let id = View.Flat.id_at store u k in
+    if id >= 0 && id <> u then incr candidates
+  done;
+  if !candidates = 0 then -1
+  else begin
+    let pick = Rng.int rng !candidates in
+    let seen = ref 0 and found = ref (-1) in
+    for k = 0 to s - 1 do
+      if !found < 0 then begin
+        let id = View.Flat.id_at store u k in
+        if id >= 0 && id <> u then begin
+          if !seen = pick then found := id;
+          incr seen
+        end
+      end
+    done;
+    !found
+  end
+
+let test_sample_id_matches_scan () =
+  let nodes = 6 and s = 16 in
+  for seed = 1 to 200 do
+    let fill = Rng.create seed in
+    let store = View.Flat.create ~nodes ~view_size:s in
+    for u = 0 to nodes - 1 do
+      (* Sparse to full views whose ids include the node itself and
+         duplicates. *)
+      let k = Rng.int fill (s + 1) in
+      Array.iter
+        (fun slot ->
+          View.Flat.set store u slot ~id:(Rng.int fill nodes) ~serial:slot
+            ~anchor:(-1) ~born:0)
+        (Rng.sample_indices fill ~n:s ~k)
+    done;
+    let a = Rng.create (seed + 500) and b = Rng.create (seed + 500) in
+    for _ = 1 to 4 do
+      for u = 0 to nodes - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d node %d" seed u)
+          (sample_view_reference store a u)
+          (View.Flat.sample_id store u b)
+      done
+    done;
+    Alcotest.(check int64) (Printf.sprintf "seed %d: RNG state" seed)
+      (Rng.next_int64 a) (Rng.next_int64 b)
+  done
+
+(* The footprint gate: 20 bytes per slot (three int32 cells and a 63-bit
+   serial) plus the per-node degree array.  One word per field would be
+   32 bytes per slot. *)
+let test_flat_footprint () =
+  let nodes = 10_000 and s = 16 in
+  let store = View.Flat.create ~nodes ~view_size:s in
+  let bytes = Obj.reachable_words (Obj.repr store) * (Sys.word_size / 8) in
+  let budget = (20 * nodes * s) + ((nodes + 1) * (Sys.word_size / 8)) + 1024 in
+  if bytes > budget then
+    Alcotest.failf "%d-slot store takes %d bytes, over the %d-byte budget"
+      (nodes * s) bytes budget
+
 (* --- Par: the fork-join shim --- *)
 
 let test_par_determinism () =
@@ -383,6 +498,11 @@ let test_sample_many_contract () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_degrees_match_recount;
+    Alcotest.test_case "Flat int32 cell bounds" `Quick test_flat_cell_bounds;
+    Alcotest.test_case "Flat.sample_id matches the spread scan" `Quick
+      test_sample_id_matches_scan;
+    Alcotest.test_case "Flat footprint: 20 bytes per slot" `Quick
+      test_flat_footprint;
     Alcotest.test_case "Par fork-join determinism" `Quick test_par_determinism;
     Alcotest.test_case "domain-count invariance" `Quick
       test_domain_count_invariance;
